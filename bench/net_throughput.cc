@@ -1,8 +1,9 @@
 // Network serving throughput: loopback HTTP clients driving the full
 // stack with the mixed workload a deployment sees — snapshot ingest,
-// deviation polls, and cache-served compares. Two front ends:
+// deviation polls, and cache-served compares. One front end (HttpApi)
+// over either backend:
 //   default      HttpServer event loop → HttpApi → MonitorService
-//   --shards=N   N SO_REUSEPORT reactors → ShardedApi → ShardRouter →
+//   --shards=N   N SO_REUSEPORT reactors → HttpApi → ShardRouter →
 //                N in-process ShardWorkers (full wire codec per call)
 // Emits JSON lines:
 //   {"bench":"net_throughput","config":…,"clients":N,"shards":…,
@@ -30,7 +31,6 @@
 #include "serve/monitor_service.h"
 #include "shard/shard_router.h"
 #include "shard/shard_worker.h"
-#include "shard/sharded_api.h"
 
 namespace focus {
 namespace {
@@ -77,8 +77,8 @@ struct DriveCounts {
 
 // Drives `clients` concurrent keep-alive connections against the server
 // at `port`, each issuing ingest/deviation/compare in a 2:3:1 mix. Both
-// front ends (single-loop HttpApi and the sharded reactors) see the
-// identical byte stream. `flush` runs inside the measured window so the
+// deployments (single loop and sharded reactors) see the identical byte
+// stream. `flush` runs inside the measured window so the
 // figure includes draining the ingest queue, as a real deployment would.
 DriveCounts DriveClients(uint16_t port, int clients, int requests_per_client,
                          const std::vector<std::string>& bodies,
@@ -210,8 +210,8 @@ void RunConfig(const char* label, int clients, int requests_per_client,
            snapshot_size, counts, service.processed());
 }
 
-// Sharded front end: one SO_REUSEPORT reactor per shard, each running its
-// own ShardedApi + ShardRouter over in-process ShardWorkers (the law
+// Sharded deployment: one SO_REUSEPORT reactor per shard, each running its
+// own HttpApi + ShardRouter over in-process ShardWorkers (the law
 // tests pin that this path answers bit-identically to the single node).
 // Every call still encodes and decodes full wire frames, so the protocol
 // cost is measured; only the kernel socket hop is elided. Each shard owns
@@ -241,16 +241,17 @@ void RunShardedConfig(const char* label, int clients, int requests_per_client,
   // calls never serialize across reactors.
   struct Reactor {
     std::unique_ptr<shard::ShardRouter> router;
-    std::unique_ptr<shard::ShardedApi> api;
+    std::unique_ptr<serve::HttpApi> api;
     std::unique_ptr<net::HttpServer> server;
   };
   std::vector<Reactor> reactors(static_cast<size_t>(num_shards));
   uint16_t port = 0;
   for (size_t r = 0; r < reactors.size(); ++r) {
-    reactors[r].router = std::make_unique<shard::ShardRouter>(channel_ptrs);
-    shard::ShardedApiOptions api_options;
+    reactors[r].router =
+        std::make_unique<shard::ShardRouter>(channel_ptrs, &metrics);
+    serve::HttpApiOptions api_options;
     api_options.reactor_index = static_cast<int>(r);
-    reactors[r].api = std::make_unique<shard::ShardedApi>(
+    reactors[r].api = std::make_unique<serve::HttpApi>(
         api_options, reactors[r].router.get(), &metrics);
     net::HttpServerOptions server_options;
     server_options.port = port;

@@ -46,9 +46,8 @@ bool AnalyzableExtension(const fs::path& path) {
 }
 
 bool SkippedDirectory(const std::string& name) {
-  return name == "lint_fixtures" || name == "analyze_fixtures" ||
-         name == "corpus" || name == ".git" || name == "third_party" ||
-         name.rfind("build", 0) == 0;
+  return name == "analyze_fixtures" || name == "corpus" || name == ".git" ||
+         name == "third_party" || name.rfind("build", 0) == 0;
 }
 
 void CollectFiles(const fs::path& path, std::vector<fs::path>* files) {
@@ -154,7 +153,7 @@ int AnalyzerMain(int argc, char** argv, const char* tool_name) {
         return 2;
       }
       root = argv[++i];
-    } else if (arg == "--list-checkers" || arg == "--list-rules") {
+    } else if (arg == "--list-checkers") {
       for (const Checker& checker : Registry()) {
         std::printf("%-26s %s\n", checker.name.c_str(),
                     checker.scope.c_str());

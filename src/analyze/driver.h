@@ -28,8 +28,7 @@ FileModel BuildFileModel(const std::string& rel_path,
 AnalyzeResult AnalyzeFiles(
     const std::vector<std::pair<std::string, std::string>>& files);
 
-// Command-line entry point shared by tools/focus_analyze and the
-// deprecated tools/focus_lint shim:
+// Command-line entry point of tools/focus_analyze:
 //   <tool> [--root DIR] [--list-checkers] [paths...]
 // With no paths scans src/ tools/ tests/ bench/ fuzz/ examples/ under
 // --root, skipping build trees, fuzz corpora, and the analyzer's own

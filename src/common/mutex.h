@@ -13,7 +13,7 @@ namespace focus::common {
 // add zero behavior — Lock/Unlock forward straight to std::mutex — but
 // carry the CAPABILITY annotations that let clang prove, at compile time,
 // which mutex guards which field (common/thread_annotations.h). All
-// locking in this repo goes through these types; focus_lint rule
+// locking in this repo goes through these types; focus_analyze checker
 // `raw-mutex` rejects the raw std primitives outside src/common/.
 
 class CAPABILITY("mutex") Mutex {

@@ -17,7 +17,7 @@
 //   * RAII holders:                   class SCOPED_CAPABILITY MutexLock;
 //
 // The only lock types in this repo are common::Mutex / common::MutexLock
-// / common::CondVar (common/mutex.h); focus_lint rule `raw-mutex` keeps
+// / common::CondVar (common/mutex.h); focus_analyze checker `raw-mutex` keeps
 // unannotated std primitives from reappearing outside src/common/.
 
 #if defined(__clang__) && !defined(SWIG)

@@ -29,27 +29,25 @@ bool ParseHashHex(const std::string& text, uint64_t* out) {
   return true;
 }
 
-bool ParseDeviationFunction(const std::map<std::string, std::string>& params,
-                            core::DeviationFunction* fn, std::string* f_name,
-                            std::string* g_name) {
-  *f_name = "abs";
-  *g_name = "sum";
-  if (const auto it = params.find("f"); it != params.end()) *f_name = it->second;
-  if (const auto it = params.find("g"); it != params.end()) *g_name = it->second;
-  if (*f_name == "abs") {
-    fn->f = core::AbsoluteDiff();
-  } else if (*f_name == "scaled") {
-    fn->f = core::ScaledDiff();
+bool ResolveDeviationChoice(const std::string& f_name,
+                            const std::string& g_name,
+                            DeviationChoice* choice) {
+  if (f_name == "abs") {
+    choice->fn.f = core::AbsoluteDiff();
+  } else if (f_name == "scaled") {
+    choice->fn.f = core::ScaledDiff();
   } else {
     return false;
   }
-  if (*g_name == "sum") {
-    fn->g = core::AggregateKind::kSum;
-  } else if (*g_name == "max") {
-    fn->g = core::AggregateKind::kMax;
+  if (g_name == "sum") {
+    choice->fn.g = core::AggregateKind::kSum;
+  } else if (g_name == "max") {
+    choice->fn.g = core::AggregateKind::kMax;
   } else {
     return false;
   }
+  choice->f_name = f_name;
+  choice->g_name = g_name;
   return true;
 }
 

@@ -2,7 +2,6 @@
 #define FOCUS_SERVE_API_UTIL_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -11,20 +10,28 @@
 
 namespace focus::serve {
 
-// Helpers shared by the single-node HttpApi and the sharded front end
-// (src/shard/sharded_api). Keeping one copy is not just hygiene: the shard
-// law checker asserts bit-identical answers, which requires both faces to
-// parse parameters and fold aggregates through the same code.
+// Helpers behind serve::HttpApi and its two backends (LocalBackend and
+// shard::ShardRouter). Both backends fold summaries through the same
+// AggregateSummary, which is what lets the shard law checker demand
+// bit-identical answers.
 
 // 16-digit lowercase hex of a content hash, and its inverse.
 std::string HashHex(uint64_t hash);
 bool ParseHashHex(const std::string& text, uint64_t* out);
 
-// The deviation function named by ?f=abs|scaled&g=sum|max (defaults:
-// abs, sum). False on an unrecognized name.
-bool ParseDeviationFunction(const std::map<std::string, std::string>& params,
-                            core::DeviationFunction* fn, std::string* f_name,
-                            std::string* g_name);
+// A validated (f,g) choice: the names ?f=abs|scaled&g=sum|max spelled and
+// the deviation function they select. Backends evaluate `fn` directly or
+// forward the names (the shard wire carries them as codes).
+struct DeviationChoice {
+  std::string f_name = "abs";
+  std::string g_name = "sum";
+  core::DeviationFunction fn;
+};
+
+// Fills `choice` from an f and a g name; false when either is unknown.
+bool ResolveDeviationChoice(const std::string& f_name,
+                            const std::string& g_name,
+                            DeviationChoice* choice);
 
 // The shared JSON fragment for one stream's status (no surrounding
 // braces).

@@ -1,26 +1,16 @@
 #include "serve/http_api.h"
 
-#include <sstream>
+#include <map>
 #include <utility>
-
-#include "core/functions.h"
-#include "core/lits_deviation.h"
-#include "io/data_io.h"
-#include "serve/api_util.h"
-#include "serve/model_cache.h"
+#include <vector>
 
 namespace focus::serve {
+namespace {
 
-HttpApi::HttpApi(const HttpApiOptions& options, MonitorService* service,
-                 const data::TransactionDb* reference,
-                 MetricsRegistry* metrics)
-    : options_(options),
-      service_(service),
-      reference_(reference),
-      metrics_(metrics) {}
+constexpr size_t kMaxStreamName = 128;
 
-bool HttpApi::ValidStreamName(const std::string& name) const {
-  if (name.empty() || name.size() > options_.max_stream_name) return false;
+bool ValidStreamName(const std::string& name) {
+  if (name.empty() || name.size() > kMaxStreamName) return false;
   for (char c : name) {
     const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                     (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
@@ -28,6 +18,48 @@ bool HttpApi::ValidStreamName(const std::string& name) const {
   }
   return true;
 }
+
+// The ?f=…&g=… choice in `params` (defaults: abs, sum).
+bool ParseChoice(const std::map<std::string, std::string>& params,
+                 DeviationChoice* choice) {
+  const auto f = params.find("f");
+  const auto g = params.find("g");
+  return ResolveDeviationChoice(f != params.end() ? f->second : "abs",
+                                g != params.end() ? g->second : "sum",
+                                choice);
+}
+
+net::HttpResponse BadChoice() {
+  return net::ErrorResponse(
+      400, "unknown deviation function; use f=abs|scaled and g=sum|max");
+}
+
+// The answer to a failed backend operation other than kNotFound (callers
+// word their own 404s). 429 and 503 both ask for a retry.
+net::HttpResponse Failure(BackendStatus status, const std::string& error,
+                          bool overloaded = false) {
+  if (status != BackendStatus::kUnavailable) {
+    return net::ErrorResponse(400, error);
+  }
+  net::HttpResponse response =
+      net::ErrorResponse(overloaded ? 429 : 503, error);
+  response.headers.emplace_back("retry-after", "1");
+  return response;
+}
+
+}  // namespace
+
+HttpApi::HttpApi(const HttpApiOptions& options, DeviationBackend* backend,
+                 MetricsRegistry* metrics)
+    : options_(options), backend_(backend), metrics_(metrics) {}
+
+HttpApi::HttpApi(const HttpApiOptions& options, MonitorService* service,
+                 const data::TransactionDb* reference,
+                 MetricsRegistry* metrics)
+    : options_(options),
+      local_(std::make_unique<LocalBackend>(service, reference, metrics)),
+      backend_(local_.get()),
+      metrics_(metrics) {}
 
 net::Router HttpApi::BuildRouter() {
   net::Router router;
@@ -69,81 +101,42 @@ net::HttpResponse HttpApi::HandleIngest(const net::HttpRequest& request,
   if (!ValidStreamName(name)) {
     return net::ErrorResponse(400, "invalid stream name");
   }
-  if (request.body.empty()) {
-    return net::ErrorResponse(400, "empty snapshot body");
+  IngestReply reply;
+  std::string error;
+  const BackendStatus status =
+      backend_->Ingest(name, "http", request.body, &reply, &error);
+  if (status != BackendStatus::kOk) {
+    return Failure(status, error, reply.overloaded);
   }
-  std::istringstream in(request.body);
-  std::string load_error;
-  const auto db = io::LoadTransactionDb(in, &load_error);
-  if (!db.has_value()) {
-    if (metrics_ != nullptr) {
-      metrics_->GetCounter("ingest_rejected").Increment();
-    }
-    return net::ErrorResponse(400, "malformed snapshot: " + load_error);
-  }
-
-  const uint64_t content_hash = TransactionDbContentHash(*db);
-
-  // Registration + sequence assignment + submission are serialized per
-  // api so lazily added streams register exactly once and sequences stay
-  // dense (a shed snapshot does not burn a sequence number).
-  common::MutexLock lock(&streams_mutex_);
-  if (!service_->HasStream(name)) {
-    service_->AddStream(name, *reference_);
-  }
-  Snapshot snapshot;
-  snapshot.stream = name;
-  snapshot.sequence = next_sequence_[name];
-  snapshot.source = "http";
-  snapshot.db = std::move(*db);
-  const SubmitResult result = service_->TrySubmitFor(
-      std::move(snapshot), std::chrono::milliseconds(options_.ingest_wait_ms));
-  switch (result) {
-    case SubmitResult::kOverloaded: {
-      net::HttpResponse response = net::ErrorResponse(
-          429, "ingest queue is full; retry later");
-      response.headers.emplace_back("retry-after",
-                                    std::to_string(options_.retry_after_s));
-      return response;
-    }
-    case SubmitResult::kShutdown: {
-      net::HttpResponse response =
-          net::ErrorResponse(503, "service is shutting down");
-      response.headers.emplace_back("retry-after",
-                                    std::to_string(options_.retry_after_s));
-      return response;
-    }
-    case SubmitResult::kAccepted:
-      break;
-  }
-  const int64_t sequence = next_sequence_[name]++;
-
   net::HttpResponse response;
   response.status = 202;
   response.body = "{\"stream\":\"" + JsonEscape(name) + "\"";
-  response.body += ",\"sequence\":" + std::to_string(sequence);
-  response.body += ",\"content_hash\":\"" + HashHex(content_hash) + "\"}\n";
+  response.body += ",\"sequence\":" + std::to_string(reply.sequence);
+  response.body +=
+      ",\"content_hash\":\"" + HashHex(reply.content_hash) + "\"}\n";
   return response;
 }
 
 net::HttpResponse HttpApi::HandleDeviation(const net::HttpRequest& request,
                                            const net::PathParams& params) {
-  core::DeviationFunction fn;
-  std::string f_name, g_name;
-  if (!ParseDeviationFunction(request.query, &fn, &f_name, &g_name)) {
-    return net::ErrorResponse(400, "unknown deviation function; use "
-                                   "f=abs|scaled and g=sum|max");
-  }
-  const auto result = service_->QueryDeviation(params.at("name"), fn);
-  if (!result.has_value()) {
+  DeviationChoice choice;
+  if (!ParseChoice(request.query, &choice)) return BadChoice();
+  const std::string& name = params.at("name");
+  StreamDeviation result;
+  std::string error;
+  const BackendStatus status =
+      backend_->QueryStream(name, choice, &result, &error);
+  if (status == BackendStatus::kNotFound) {
     return net::ErrorResponse(404, "unknown stream");
   }
+  if (status != BackendStatus::kOk) return Failure(status, error);
   net::HttpResponse response;
-  response.body = "{\"stream\":\"" + JsonEscape(params.at("name")) + "\"";
-  response.body += ",\"f\":\"" + f_name + "\",\"g\":\"" + g_name + "\",";
-  response.body += StatusJson(result->status);
-  if (result->has_deviation) {
-    response.body += ",\"deviation\":" + JsonNumber(result->deviation);
+  response.body = "{\"stream\":\"" + JsonEscape(name) + "\"";
+  response.body +=
+      ",\"f\":\"" + choice.f_name + "\",\"g\":\"" + choice.g_name + "\",";
+  response.body += StatusJson(result.status);
+  if (result.has_deviation) {
+    response.body += ",\"deviation\":" + JsonNumber(result.deviation);
   }
   response.body += "}\n";
   return response;
@@ -158,73 +151,55 @@ net::HttpResponse HttpApi::HandleCompare(const net::HttpRequest& request) {
       params[key] = value;
     }
   }
-  core::DeviationFunction fn;
-  std::string f_name, g_name;
-  if (!ParseDeviationFunction(params, &fn, &f_name, &g_name)) {
-    return net::ErrorResponse(400, "unknown deviation function; use "
-                                   "f=abs|scaled and g=sum|max");
-  }
+  DeviationChoice choice;
+  if (!ParseChoice(params, &choice)) return BadChoice();
   uint64_t left_hash = 0, right_hash = 0;
-  const auto left_it = params.find("left");
-  const auto right_it = params.find("right");
-  if (left_it == params.end() || right_it == params.end() ||
-      !ParseHashHex(left_it->second, &left_hash) ||
-      !ParseHashHex(right_it->second, &right_hash)) {
+  const auto left = params.find("left");
+  const auto right = params.find("right");
+  if (left == params.end() || right == params.end() ||
+      !ParseHashHex(left->second, &left_hash) ||
+      !ParseHashHex(right->second, &right_hash)) {
     return net::ErrorResponse(
         400, "compare needs left=<hex hash> and right=<hex hash> (the "
              "content_hash values returned by snapshot ingest)");
   }
-  ModelCache& cache = service_->model_cache();
-  const auto left = cache.LookupMined(left_hash);
-  const auto right = cache.LookupMined(right_hash);
-  if (!left.has_value() || !right.has_value()) {
-    std::string missing = !left.has_value() ? left_it->second : "";
-    if (!right.has_value()) {
-      if (!missing.empty()) missing += ", ";
-      missing += right_it->second;
+  double deviation = 0.0;
+  std::vector<uint64_t> missing;
+  std::string error;
+  const BackendStatus status = backend_->CompareHashes(
+      left_hash, right_hash, choice, &deviation, &missing, &error);
+  if (status == BackendStatus::kNotFound) {
+    // Canonical hex, however the client spelled the hash.
+    std::string rendered;
+    for (uint64_t hash : missing) {
+      if (!rendered.empty()) rendered += ", ";
+      rendered += HashHex(hash);
     }
     return net::ErrorResponse(
         404, "snapshot hash not in the model cache (evicted, still queued, "
-             "or never ingested): " + missing);
+             "or never ingested): " + rendered);
   }
-  // Both snapshots are cache-resident: the deviation extends both models
-  // over TID bitmaps — no raw-data scan.
-  const double deviation = core::LitsDeviation(
-      *left->model, left->index_ref(), *right->model, right->index_ref(), fn);
-  if (metrics_ != nullptr) metrics_->GetCounter("compares").Increment();
-
+  if (status != BackendStatus::kOk) return Failure(status, error);
   net::HttpResponse response;
-  response.body = "{\"left\":\"" + left_it->second + "\"";
-  response.body += ",\"right\":\"" + right_it->second + "\"";
-  response.body += ",\"f\":\"" + f_name + "\",\"g\":\"" + g_name + "\"";
+  response.body = "{\"left\":\"" + HashHex(left_hash) + "\"";
+  response.body += ",\"right\":\"" + HashHex(right_hash) + "\"";
+  response.body +=
+      ",\"f\":\"" + choice.f_name + "\",\"g\":\"" + choice.g_name + "\"";
   response.body += ",\"deviation\":" + JsonNumber(deviation) + "}\n";
   return response;
 }
 
 net::HttpResponse HttpApi::HandleSummary(const net::HttpRequest& request) {
-  core::DeviationFunction fn;
-  std::string f_name, g_name;
-  if (!ParseDeviationFunction(request.query, &fn, &f_name, &g_name)) {
-    return net::ErrorResponse(400, "unknown deviation function; use "
-                                   "f=abs|scaled and g=sum|max");
-  }
-  // Per-stream deviations folded in canonical (sorted-name) order — the
-  // same AggregateSummary the sharded front end merges with, so the two
-  // deployments answer bit-identically (the shard law checker pins this).
+  DeviationChoice choice;
+  if (!ParseChoice(request.query, &choice)) return BadChoice();
   std::vector<SummaryEntry> entries;
-  for (const std::string& name : service_->ListStreams()) {
-    const auto result = service_->QueryDeviation(name, fn);
-    if (!result.has_value()) continue;  // raced a concurrent registration
-    SummaryEntry entry;
-    entry.stream = name;
-    entry.has_deviation = result->has_deviation;
-    entry.deviation = result->deviation;
-    entries.push_back(std::move(entry));
-  }
-  const SummaryResult result = AggregateSummary(&entries, fn.g);
-
+  SummaryResult result;
+  std::string error;
+  const BackendStatus status =
+      backend_->Summarize(choice, &entries, &result, &error);
+  if (status != BackendStatus::kOk) return Failure(status, error);
   net::HttpResponse response;
-  response.body = SummaryJson(f_name, g_name, entries, result);
+  response.body = SummaryJson(choice.f_name, choice.g_name, entries, result);
   return response;
 }
 
@@ -233,18 +208,20 @@ net::HttpResponse HttpApi::HandleMetrics(const net::HttpRequest& request) {
     return net::ErrorResponse(404, "metrics are disabled");
   }
   if (server_ != nullptr) {
+    // Labelled per reactor: each api folds only its own server's stats
+    // into the shared registry.
+    const std::string label =
+        "{reactor=\"" + std::to_string(options_.reactor_index) + "\"}";
     const net::HttpServerStats stats = server_->stats();
-    metrics_->GetGauge("http_open_connections")
+    metrics_->GetGauge("http_open_connections" + label)
         .Set(static_cast<double>(stats.open_connections));
-    metrics_->GetCounter("http_requests")
-        .Increment(stats.requests_handled -
-                   metrics_->GetCounter("http_requests").Value());
-    metrics_->GetCounter("http_parse_errors")
-        .Increment(stats.parse_errors -
-                   metrics_->GetCounter("http_parse_errors").Value());
-    metrics_->GetCounter("http_connections_refused")
-        .Increment(stats.connections_refused -
-                   metrics_->GetCounter("http_connections_refused").Value());
+    const auto fold = [&](const char* name, int64_t value) {
+      Counter& counter = metrics_->GetCounter(name + label);
+      counter.Increment(value - counter.Value());
+    };
+    fold("http_requests", stats.requests_handled);
+    fold("http_parse_errors", stats.parse_errors);
+    fold("http_connections_refused", stats.connections_refused);
   }
   net::HttpResponse response;
   const auto format = request.query.find("format");

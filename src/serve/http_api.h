@@ -2,34 +2,28 @@
 #define FOCUS_SERVE_HTTP_API_H_
 
 #include <atomic>
-#include <cstdint>
+#include <memory>
 #include <string>
-#include <unordered_map>
 
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 #include "data/transaction_db.h"
 #include "net/http_server.h"
 #include "net/router.h"
+#include "serve/deviation_backend.h"
 #include "serve/metrics.h"
 #include "serve/monitor_service.h"
 
 namespace focus::serve {
 
 struct HttpApiOptions {
-  // How long POST …/snapshots waits for backpressure to clear before
-  // answering 429. Keep small: the wait runs on the server's event loop.
-  int ingest_wait_ms = 20;
-  // Retry-After seconds advertised with 429/503 responses.
-  int retry_after_s = 1;
-  // Streams are registered lazily on first ingest; names must match
-  // [A-Za-z0-9._-]{1,128}.
-  size_t max_stream_name = 128;
+  // Which front-end reactor this api serves: labels its server stats in
+  // /metrics ({reactor="N"}), so reactors sharing one registry never fight
+  // over a counter.
+  int reactor_index = 0;
 };
 
-// The network face of the serving layer: binds MonitorService, ModelCache
-// and MetricsRegistry to HTTP endpoints (focus_served, the integration
-// tests, and bench/net_throughput all boot this same object):
+// The network face of the serving layer, and its only HTTP front end:
+// binds a DeviationBackend (one MonitorService, or a ShardRouter over
+// shard workers) and a MetricsRegistry to HTTP endpoints:
 //
 //   POST /v1/streams/{name}/snapshots   body: focus-txns-v1 text
 //        202 {"stream","sequence","content_hash"} | 400 | 429 | 503
@@ -44,20 +38,26 @@ struct HttpApiOptions {
 //        JSON snapshot)
 //   GET  /healthz        {"status":"ok"|"draining"}
 //
-// Handlers execute on the HTTP event-loop thread; the heavy work (mining,
-// screening) stays on the MonitorService pool.
+// Stream names must match [A-Za-z0-9._-]{1,128}. 429 and 503 carry
+// Retry-After: 1. Handlers execute on the HTTP event-loop thread; the
+// heavy work (mining, screening) stays on the MonitorService pool.
 class HttpApi {
  public:
-  // `reference` is the calibration dataset for lazily added streams; all
-  // pointers must outlive the api (and the server routing into it).
+  // Serves `backend`; `backend` and `metrics` (may be null) must outlive
+  // the api and the server routing into it.
+  HttpApi(const HttpApiOptions& options, DeviationBackend* backend,
+          MetricsRegistry* metrics);
+
+  // Serves a LocalBackend over `service`, calibrating lazily added
+  // streams against `reference`.
   HttpApi(const HttpApiOptions& options, MonitorService* service,
           const data::TransactionDb* reference, MetricsRegistry* metrics);
 
   // Builds the route table; hand the result to net::HttpServer.
   net::Router BuildRouter();
 
-  // Optional: lets GET /metrics fold live server stats (open connections,
-  // parse errors, …) into the registry at scrape time.
+  // Optional: lets GET /metrics fold this reactor's live server stats
+  // (open connections, parse errors, …) into the registry at scrape time.
   void AttachServer(const net::HttpServer* server) { server_ = server; }
 
   // Flips /healthz to "draining" (SIGTERM handling in focus_served).
@@ -65,8 +65,7 @@ class HttpApi {
 
  private:
   net::HttpResponse HandleIngest(const net::HttpRequest& request,
-                                 const net::PathParams& params)
-      EXCLUDES(streams_mutex_);
+                                 const net::PathParams& params);
   net::HttpResponse HandleDeviation(const net::HttpRequest& request,
                                     const net::PathParams& params);
   net::HttpResponse HandleCompare(const net::HttpRequest& request);
@@ -74,20 +73,12 @@ class HttpApi {
   net::HttpResponse HandleMetrics(const net::HttpRequest& request);
   net::HttpResponse HandleHealth();
 
-  bool ValidStreamName(const std::string& name) const;
-
   const HttpApiOptions options_;
-  MonitorService* const service_;
-  const data::TransactionDb* const reference_;
-  MetricsRegistry* const metrics_;
+  const std::unique_ptr<LocalBackend> local_;  // set by the service ctor
+  DeviationBackend* const backend_;
+  MetricsRegistry* const metrics_;  // may be null
   const net::HttpServer* server_ = nullptr;
   std::atomic<bool> draining_{false};
-
-  // Server-side per-stream sequence numbers (the network protocol does
-  // not trust clients to sequence).
-  common::Mutex streams_mutex_;
-  std::unordered_map<std::string, int64_t> next_sequence_
-      GUARDED_BY(streams_mutex_);
 };
 
 }  // namespace focus::serve

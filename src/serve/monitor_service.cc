@@ -37,6 +37,26 @@ std::string StreamEvent::ToJson() const {
   return out;
 }
 
+MonitorServiceOptions ServiceOptionsFromFlags(const common::Flags& flags) {
+  MonitorServiceOptions options;
+  options.monitor.apriori.min_support = flags.GetDouble("minsup", 0.01);
+  options.monitor.alert_factor = flags.GetDouble("factor", 2.0);
+  options.monitor.calibration_replicates =
+      static_cast<int>(flags.GetInt("calibration", 5));
+  options.monitor.significance.num_replicates =
+      static_cast<int>(flags.GetInt("replicates", 9));
+  options.cusum.warmup = static_cast<int>(flags.GetInt("warmup", 5));
+  options.cusum.slack = flags.GetDouble("slack", 0.5);
+  options.cusum.decision_threshold = flags.GetDouble("decision", 5.0);
+  options.num_threads = static_cast<int>(flags.GetInt("threads", 4));
+  options.queue_capacity = static_cast<size_t>(flags.GetInt("queue", 64));
+  options.model_cache_capacity =
+      static_cast<size_t>(flags.GetInt("cache", 64));
+  options.ingest_wait_ms = static_cast<int>(
+      flags.GetInt("ingest-wait-ms", options.ingest_wait_ms));
+  return options;
+}
+
 MonitorService::MonitorService(const MonitorServiceOptions& options,
                                MetricsRegistry* metrics)
     : options_(options),
@@ -91,42 +111,31 @@ void MonitorService::SetEventSink(
 }
 
 bool MonitorService::Submit(Snapshot snapshot) {
+  return Enqueue(std::move(snapshot), std::nullopt) == SubmitResult::kAccepted;
+}
+
+SubmitResult MonitorService::TrySubmitFor(Snapshot snapshot,
+                                          std::chrono::milliseconds timeout) {
+  return Enqueue(std::move(snapshot), timeout);
+}
+
+SubmitResult MonitorService::Enqueue(
+    Snapshot snapshot, std::optional<std::chrono::milliseconds> timeout) {
   {
     // Bound the total number of snapshots in flight (queued + pending +
     // processing) by the queue capacity: this is the backpressure the
     // producer feels.
     MutexLock lock(&state_mutex_);
-    idle_cv_.Wait(state_mutex_, [this]() REQUIRES(state_mutex_) {
+    const auto has_room = [this]() REQUIRES(state_mutex_) {
       return shutdown_ ||
              in_flight_ < static_cast<int64_t>(options_.queue_capacity);
-    });
-    if (shutdown_) return false;
-    ++in_flight_;
-  }
-  if (!queue_.Push(std::move(snapshot))) {
-    MutexLock lock(&state_mutex_);
-    --in_flight_;
-    idle_cv_.NotifyAll();
-    return false;
-  }
-  if (metrics_ != nullptr) {
-    metrics_->GetGauge("queue_depth").Set(static_cast<double>(queue_.size()));
-    metrics_->GetCounter("snapshots_submitted").Increment();
-  }
-  return true;
-}
-
-SubmitResult MonitorService::TrySubmitFor(Snapshot snapshot,
-                                          std::chrono::milliseconds timeout) {
-  {
-    MutexLock lock(&state_mutex_);
-    const bool ready =
-        idle_cv_.WaitFor(state_mutex_, timeout,
-                         [this]() REQUIRES(state_mutex_) {
-                           return shutdown_ ||
-                                  in_flight_ < static_cast<int64_t>(
-                                                   options_.queue_capacity);
-                         });
+    };
+    bool ready = true;
+    if (timeout.has_value()) {
+      ready = idle_cv_.WaitFor(state_mutex_, *timeout, has_room);
+    } else {
+      idle_cv_.Wait(state_mutex_, has_room);
+    }
     if (shutdown_) return SubmitResult::kShutdown;
     if (!ready) {
       if (metrics_ != nullptr) {
@@ -149,6 +158,21 @@ SubmitResult MonitorService::TrySubmitFor(Snapshot snapshot,
     metrics_->GetCounter("snapshots_submitted").Increment();
   }
   return SubmitResult::kAccepted;
+}
+
+IngestResult MonitorService::Ingest(Snapshot snapshot,
+                                    const data::TransactionDb& reference,
+                                    bool block) {
+  MutexLock lock(&ingest_mutex_);
+  if (!HasStream(snapshot.stream)) AddStream(snapshot.stream, reference);
+  int64_t& next = next_sequence_[snapshot.stream];
+  snapshot.sequence = next;
+  std::optional<std::chrono::milliseconds> timeout;  // none: block
+  if (!block) timeout = std::chrono::milliseconds(options_.ingest_wait_ms);
+  IngestResult out;
+  out.result = Enqueue(std::move(snapshot), timeout);
+  if (out.result == SubmitResult::kAccepted) out.sequence = next++;
+  return out;
 }
 
 std::optional<StreamStatus> MonitorService::GetStreamStatus(

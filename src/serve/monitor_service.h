@@ -12,6 +12,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
@@ -36,7 +37,17 @@ struct MonitorServiceOptions {
   // should pick kRoaring so per-snapshot index memory stays proportional
   // to occurrences rather than |D|; results are bit-identical either way.
   data::IndexBackend index_backend = data::IndexBackend::kFlat;
+  // How long a bounded Ingest waits for backpressure to clear before
+  // shedding the snapshot (HTTP 429). Keep small: network front ends wait
+  // on their event loop.
+  int ingest_wait_ms = 20;
 };
+
+// The options the daemons share, read from their common flags (--minsup,
+// --factor, --calibration, --replicates, --warmup, --slack, --decision,
+// --threads, --queue, --cache, --ingest-wait-ms), each defaulting as the
+// daemons document.
+MonitorServiceOptions ServiceOptionsFromFlags(const common::Flags& flags);
 
 // One processed snapshot produces one event.
 struct StreamEvent {
@@ -60,6 +71,12 @@ enum class SubmitResult {
   kAccepted,    // queued; will be processed in stream order
   kOverloaded,  // backpressure persisted past the deadline — retry later
   kShutdown,    // service is stopping; the snapshot was dropped
+};
+
+// What Ingest did with one snapshot.
+struct IngestResult {
+  SubmitResult result = SubmitResult::kShutdown;
+  int64_t sequence = -1;  // the stream's sequence, set when kAccepted
 };
 
 // Point-in-time view of one stream, answering GET /v1/streams/{name}/…
@@ -141,6 +158,16 @@ class MonitorService {
                             std::chrono::milliseconds timeout)
       EXCLUDES(state_mutex_);
 
+  // The one ingest decision every producer shares (HTTP, shard worker,
+  // spool daemon): registers `snapshot.stream` against `reference` on
+  // first sight, stamps the stream's next dense sequence, and submits —
+  // blocking on backpressure when `block`, otherwise waiting at most
+  // options.ingest_wait_ms. A shed or refused snapshot consumes no
+  // sequence number. Ingests serialize on their own mutex, never holding
+  // state_mutex_ across the wait (the dispatcher needs it to make room).
+  IngestResult Ingest(Snapshot snapshot, const data::TransactionDb& reference,
+                      bool block) EXCLUDES(ingest_mutex_, state_mutex_);
+
   // Latest per-stream state; nullopt for unknown streams. O(1), no data
   // scan.
   std::optional<StreamStatus> GetStreamStatus(const std::string& name) const
@@ -186,6 +213,10 @@ class MonitorService {
         : cusum(cusum_options) {}
   };
 
+  // Submit and TrySubmitFor: waits for room (at most `timeout` when set).
+  SubmitResult Enqueue(Snapshot snapshot,
+                       std::optional<std::chrono::milliseconds> timeout)
+      EXCLUDES(state_mutex_);
   void DispatchLoop();
   void Route(Snapshot snapshot) EXCLUDES(state_mutex_);
   void DrainStream(Stream* stream) EXCLUDES(state_mutex_);
@@ -215,6 +246,12 @@ class MonitorService {
   int64_t in_flight_ GUARDED_BY(state_mutex_) = 0;
   int64_t processed_ GUARDED_BY(state_mutex_) = 0;
   bool shutdown_ GUARDED_BY(state_mutex_) = false;
+
+  // Serializes Ingest: registration happens once per stream and sequences
+  // stay dense. Taken before state_mutex_, never after it.
+  common::Mutex ingest_mutex_;
+  std::unordered_map<std::string, int64_t> next_sequence_
+      GUARDED_BY(ingest_mutex_);
 
   common::Mutex sink_mutex_;
   std::function<void(const StreamEvent&)> sink_ GUARDED_BY(sink_mutex_);

@@ -27,9 +27,10 @@ bool LocalShardChannel::Call(MessageType type, const std::string& payload,
 }
 
 ShardRouter::ShardRouter(std::vector<ShardChannel*> shards,
-                         int vnodes_per_shard)
+                         serve::MetricsRegistry* metrics)
     : shards_(std::move(shards)),
-      ring_(static_cast<int>(shards_.size()), vnodes_per_shard) {
+      ring_(static_cast<int>(shards_.size())),
+      metrics_(metrics) {
   FOCUS_CHECK(!shards_.empty());
 }
 
@@ -261,8 +262,7 @@ ShardRouter::Status ShardRouter::Summary(
     }
   }
   // The canonical fold (sorted-name order) shared with the single-node
-  // summary handler: g_max would merge from the shards' partial_max values
-  // in any order, but g_sum only reproduces the single-node bits when the
+  // backend: g_sum only reproduces the single-node bits when the
   // per-stream terms recombine in the same global order.
   *result = serve::AggregateSummary(entries, fn.g);
   return Status::kOk;
@@ -282,6 +282,106 @@ bool ShardRouter::PingAll(std::string* error) {
     }
   }
   return true;
+}
+
+// ------------------------------------------------ serve::DeviationBackend
+
+namespace {
+
+// Wire codes of a choice; codes the router rejects as kInvalid should its
+// names not map.
+void ChoiceCodes(const serve::DeviationChoice& choice, uint8_t* f_code,
+                 uint8_t* g_code) {
+  if (!DeviationCodesFromNames(choice.f_name, choice.g_name, f_code,
+                               g_code)) {
+    *f_code = *g_code = 0xff;
+  }
+}
+
+}  // namespace
+
+void ShardRouter::CountShardOp(const char* op, int shard) {
+  if (metrics_ == nullptr) return;
+  metrics_
+      ->GetCounter(std::string(op) + "{shard=\"" + std::to_string(shard) +
+                   "\"}")
+      .Increment();
+}
+
+serve::BackendStatus ShardRouter::ToBackendStatus(Status status,
+                                                  std::string* error) {
+  switch (status) {
+    case Status::kOk:
+      return serve::BackendStatus::kOk;
+    case Status::kNotFound:
+      return serve::BackendStatus::kNotFound;
+    case Status::kInvalid:
+      return serve::BackendStatus::kInvalid;
+    case Status::kShardDown:
+      break;
+  }
+  if (metrics_ != nullptr) {
+    metrics_->GetCounter("shard_transport_errors").Increment();
+  }
+  *error = "shard unavailable: " + *error;
+  return serve::BackendStatus::kUnavailable;
+}
+
+serve::BackendStatus ShardRouter::Ingest(const std::string& stream,
+                                         const std::string& source,
+                                         const std::string& snapshot_text,
+                                         serve::IngestReply* reply,
+                                         std::string* error) {
+  CountShardOp("shard_ingests", ShardFor(stream));
+  SubmitResultBody result;
+  const Status status = Submit(stream, source, snapshot_text, &result, error);
+  if (status != Status::kOk) return ToBackendStatus(status, error);
+  // The owning shard answered with the HTTP verdict of its LocalBackend.
+  reply->sequence = result.sequence;
+  reply->content_hash = result.content_hash;
+  *error = result.error;
+  if (result.status == 202) return serve::BackendStatus::kOk;
+  if (result.status == 400) return serve::BackendStatus::kInvalid;
+  reply->overloaded = result.status == 429;
+  return serve::BackendStatus::kUnavailable;
+}
+
+serve::BackendStatus ShardRouter::QueryStream(
+    const std::string& stream, const serve::DeviationChoice& choice,
+    serve::StreamDeviation* out, std::string* error) {
+  uint8_t f_code, g_code;
+  ChoiceCodes(choice, &f_code, &g_code);
+  CountShardOp("shard_deviation_queries", ShardFor(stream));
+  DeviationResultBody result;
+  const Status status =
+      QueryDeviation(stream, f_code, g_code, &result, error);
+  if (status != Status::kOk) return ToBackendStatus(status, error);
+  out->status = result.status;
+  out->has_deviation = result.has_deviation != 0;
+  out->deviation = result.deviation;
+  return serve::BackendStatus::kOk;
+}
+
+serve::BackendStatus ShardRouter::CompareHashes(
+    uint64_t left_hash, uint64_t right_hash,
+    const serve::DeviationChoice& choice, double* deviation,
+    std::vector<uint64_t>* missing, std::string* error) {
+  uint8_t f_code, g_code;
+  ChoiceCodes(choice, &f_code, &g_code);
+  if (metrics_ != nullptr) metrics_->GetCounter("shard_compares").Increment();
+  const Status status = Compare(left_hash, right_hash, f_code, g_code,
+                                deviation, missing, error);
+  return ToBackendStatus(status, error);
+}
+
+serve::BackendStatus ShardRouter::Summarize(
+    const serve::DeviationChoice& choice,
+    std::vector<serve::SummaryEntry>* entries, serve::SummaryResult* result,
+    std::string* error) {
+  uint8_t f_code, g_code;
+  ChoiceCodes(choice, &f_code, &g_code);
+  const Status status = Summary(f_code, g_code, entries, result, error);
+  return ToBackendStatus(status, error);
 }
 
 }  // namespace focus::shard

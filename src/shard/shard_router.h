@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "serve/api_util.h"
+#include "serve/deviation_backend.h"
+#include "serve/metrics.h"
 #include "shard/hash_ring.h"
 #include "shard/shard_channel.h"
 #include "shard/shard_worker.h"
@@ -37,7 +39,11 @@ class LocalShardChannel : public ShardChannel {
 //
 // Any transport failure surfaces as kShardDown: the front end answers 503
 // and the daemon begins its drain (docs/SHARDING.md).
-class ShardRouter {
+//
+// As a serve::DeviationBackend it is what serve::HttpApi talks to in a
+// sharded focus_served. Ingest bodies forward verbatim: the owning shard
+// parses, hashes and sequences them.
+class ShardRouter : public serve::DeviationBackend {
  public:
   enum class Status {
     kOk,
@@ -47,8 +53,9 @@ class ShardRouter {
   };
 
   // `shards` must outlive the router; one channel per shard, index order.
+  // `metrics` (may be null) counts the backend operations per shard.
   explicit ShardRouter(std::vector<ShardChannel*> shards,
-                       int vnodes_per_shard = 64);
+                       serve::MetricsRegistry* metrics = nullptr);
 
   int num_shards() const { return ring_.num_shards(); }
   int ShardFor(const std::string& stream) const {
@@ -81,6 +88,26 @@ class ShardRouter {
   // Pings every shard; false (with `error`) when any is unreachable.
   bool PingAll(std::string* error);
 
+  // serve::DeviationBackend, over the methods above.
+  serve::BackendStatus Ingest(const std::string& stream,
+                              const std::string& source,
+                              const std::string& snapshot_text,
+                              serve::IngestReply* reply,
+                              std::string* error) override;
+  serve::BackendStatus QueryStream(const std::string& stream,
+                                   const serve::DeviationChoice& choice,
+                                   serve::StreamDeviation* out,
+                                   std::string* error) override;
+  serve::BackendStatus CompareHashes(uint64_t left_hash, uint64_t right_hash,
+                                     const serve::DeviationChoice& choice,
+                                     double* deviation,
+                                     std::vector<uint64_t>* missing,
+                                     std::string* error) override;
+  serve::BackendStatus Summarize(const serve::DeviationChoice& choice,
+                                 std::vector<serve::SummaryEntry>* entries,
+                                 serve::SummaryResult* result,
+                                 std::string* error) override;
+
  private:
   // Two-phase cross-shard compare: fetch Γ(M)+n from each owner, form the
   // GCR, extend both models remotely, aggregate locally.
@@ -89,8 +116,14 @@ class ShardRouter {
                            uint8_t f_code, uint8_t g_code, double* deviation,
                            std::string* error);
 
+  // Maps a router status onto the backend's; a transport failure is
+  // counted and worded as a 503.
+  serve::BackendStatus ToBackendStatus(Status status, std::string* error);
+  void CountShardOp(const char* op, int shard);
+
   const std::vector<ShardChannel*> shards_;
   const HashRing ring_;
+  serve::MetricsRegistry* const metrics_;  // may be null
 };
 
 }  // namespace focus::shard

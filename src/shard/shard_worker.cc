@@ -1,11 +1,11 @@
 #include "shard/shard_worker.h"
 
+#include <algorithm>
 #include <memory>
-#include <sstream>
 #include <utility>
+#include <vector>
 
 #include "core/lits_deviation.h"
-#include "io/data_io.h"
 #include "serve/model_cache.h"
 
 namespace focus::shard {
@@ -23,9 +23,8 @@ ShardWorker::ShardWorker(const ShardWorkerOptions& options,
                          const data::TransactionDb* reference,
                          serve::MetricsRegistry* metrics)
     : options_(options),
-      reference_(reference),
-      metrics_(metrics),
-      service_(options.service, metrics) {}
+      service_(options.service, metrics),
+      backend_(&service_, reference, metrics) {}
 
 bool ShardWorker::Serve(const WireServerOptions& server_options,
                         std::string* error) {
@@ -93,101 +92,76 @@ Frame ShardWorker::HandleSubmit(const Frame& request) {
     result.error = "shard is draining";
     return {MessageType::kSubmitResult, request.request_id, result.Encode()};
   }
-  if (body.snapshot.empty()) {
-    result.status = 400;
-    result.error = "empty snapshot body";
-    return {MessageType::kSubmitResult, request.request_id, result.Encode()};
-  }
-  std::istringstream in(body.snapshot);
-  std::string load_error;
-  const auto db = io::LoadTransactionDb(in, &load_error);
-  if (!db.has_value()) {
-    if (metrics_ != nullptr) {
-      metrics_->GetCounter("ingest_rejected").Increment();
-    }
-    result.status = 400;
-    result.error = "malformed snapshot: " + load_error;
-    return {MessageType::kSubmitResult, request.request_id, result.Encode()};
-  }
-  result.content_hash = serve::TransactionDbContentHash(*db);
-
-  // Registration + sequence assignment + submission serialize so the
-  // stream registers exactly once and sequences stay dense.
-  common::MutexLock lock(&streams_mutex_);
-  if (!service_.HasStream(body.stream)) {
-    service_.AddStream(body.stream, *reference_);
-  }
-  serve::Snapshot snapshot;
-  snapshot.stream = body.stream;
-  snapshot.sequence = next_sequence_[body.stream];
-  snapshot.source = body.source;
-  snapshot.db = std::move(*db);
-  const serve::SubmitResult submit = service_.TrySubmitFor(
-      std::move(snapshot), std::chrono::milliseconds(options_.ingest_wait_ms));
-  switch (submit) {
-    case serve::SubmitResult::kOverloaded:
-      result.status = 429;
-      result.error = "ingest queue is full; retry later";
-      break;
-    case serve::SubmitResult::kShutdown:
-      result.status = 503;
-      result.error = "shard is shutting down";
-      break;
-    case serve::SubmitResult::kAccepted:
+  serve::IngestReply reply;
+  // The wire carries the verdict as the HTTP status the front end answers.
+  switch (backend_.Ingest(body.stream, body.source, body.snapshot, &reply,
+                          &result.error)) {
+    case serve::BackendStatus::kOk:
       result.status = 202;
-      result.sequence = next_sequence_[body.stream]++;
+      break;
+    case serve::BackendStatus::kUnavailable:
+      result.status = reply.overloaded ? 429 : 503;
+      break;
+    case serve::BackendStatus::kNotFound:
+    case serve::BackendStatus::kInvalid:
+      result.status = 400;
       break;
   }
+  result.sequence = reply.sequence;
+  result.content_hash = reply.content_hash;
   return {MessageType::kSubmitResult, request.request_id, result.Encode()};
 }
 
 Frame ShardWorker::HandleDeviationQuery(const Frame& request) {
   DeviationQueryBody body;
+  serve::DeviationChoice choice;
   if (!body.Decode(request.payload)) {
     return ErrorFrame(request.request_id, "malformed deviation query");
   }
-  core::DeviationFunction fn;
-  if (!DeviationFunctionFromCodes(body.f_code, body.g_code, &fn)) {
+  if (!DeviationChoiceFromCodes(body.f_code, body.g_code, &choice)) {
     return ErrorFrame(request.request_id, "unknown deviation function codes");
   }
   DeviationResultBody result;
-  const auto deviation = service_.QueryDeviation(body.stream, fn);
-  if (deviation.has_value()) {
+  serve::StreamDeviation deviation;
+  std::string error;
+  if (backend_.QueryStream(body.stream, choice, &deviation, &error) ==
+      serve::BackendStatus::kOk) {
     result.found = 1;
-    result.status = deviation->status;
-    result.has_deviation = deviation->has_deviation ? 1 : 0;
-    result.deviation = deviation->deviation;
+    result.status = deviation.status;
+    result.has_deviation = deviation.has_deviation ? 1 : 0;
+    result.deviation = deviation.deviation;
   }
   return {MessageType::kDeviationResult, request.request_id, result.Encode()};
 }
 
 Frame ShardWorker::HandleCompare(const Frame& request) {
   CompareBody body;
+  serve::DeviationChoice choice;
   if (!body.Decode(request.payload)) {
     return ErrorFrame(request.request_id, "malformed compare payload");
   }
-  core::DeviationFunction fn;
-  if (!DeviationFunctionFromCodes(body.f_code, body.g_code, &fn)) {
+  if (!DeviationChoiceFromCodes(body.f_code, body.g_code, &choice)) {
     return ErrorFrame(request.request_id, "unknown deviation function codes");
   }
-  serve::ModelCache& cache = service_.model_cache();
-  const auto left = cache.LookupMined(body.left_hash);
-  const auto right = cache.LookupMined(body.right_hash);
   CompareResultBody result;
-  if (left.has_value() && right.has_value()) {
+  std::vector<uint64_t> missing;
+  std::string error;
+  // Both snapshots local: the full single-node answer. Otherwise report
+  // which one this shard holds, so the router can run the two-phase
+  // cross-shard exchange.
+  if (backend_.CompareHashes(body.left_hash, body.right_hash, choice,
+                             &result.deviation, &missing,
+                             &error) == serve::BackendStatus::kOk) {
     result.outcome = CompareOutcome::kBoth;
-    // Both snapshots are local: the full single-node answer, same code as
-    // the unsharded /v1/compare.
-    result.deviation = core::LitsDeviation(*left->model, left->index_ref(),
-                                           *right->model, right->index_ref(),
-                                           fn);
-    if (metrics_ != nullptr) metrics_->GetCounter("compares").Increment();
-  } else if (left.has_value()) {
-    result.outcome = CompareOutcome::kLeftOnly;
-  } else if (right.has_value()) {
-    result.outcome = CompareOutcome::kRightOnly;
   } else {
-    result.outcome = CompareOutcome::kNeither;
+    const auto holds = [&missing](uint64_t hash) {
+      return std::find(missing.begin(), missing.end(), hash) == missing.end();
+    };
+    const bool left = holds(body.left_hash);
+    const bool right = holds(body.right_hash);
+    result.outcome = left    ? CompareOutcome::kLeftOnly
+                     : right ? CompareOutcome::kRightOnly
+                             : CompareOutcome::kNeither;
   }
   return {MessageType::kCompareResult, request.request_id, result.Encode()};
 }
@@ -229,31 +203,22 @@ Frame ShardWorker::HandleExtendRegions(const Frame& request) {
 
 Frame ShardWorker::HandleStreamPartials(const Frame& request) {
   StreamPartialsBody body;
+  serve::DeviationChoice choice;
   if (!body.Decode(request.payload)) {
     return ErrorFrame(request.request_id, "malformed stream-partials payload");
   }
-  core::DeviationFunction fn;
-  if (!DeviationFunctionFromCodes(body.f_code, body.g_code, &fn)) {
+  if (!DeviationChoiceFromCodes(body.f_code, body.g_code, &choice)) {
     return ErrorFrame(request.request_id, "unknown deviation function codes");
   }
+  std::vector<serve::SummaryEntry> entries;
+  serve::SummaryResult summary;
+  std::string error;
+  backend_.Summarize(choice, &entries, &summary, &error);
   PartialAggregateBody result;
-  std::vector<double> values;
-  for (const std::string& name : service_.ListStreams()) {
-    const auto deviation = service_.QueryDeviation(name, fn);
-    if (!deviation.has_value()) continue;
-    PartialAggregateBody::Entry entry;
-    entry.stream = name;
-    entry.has_deviation = deviation->has_deviation ? 1 : 0;
-    entry.deviation = deviation->deviation;
-    if (deviation->has_deviation) values.push_back(deviation->deviation);
-    result.entries.push_back(std::move(entry));
-  }
-  result.value_count = static_cast<uint32_t>(values.size());
-  if (!values.empty()) {
-    result.partial_sum = core::AggregateValues(core::AggregateKind::kSum,
-                                               values);
-    result.partial_max = core::AggregateValues(core::AggregateKind::kMax,
-                                               values);
+  for (serve::SummaryEntry& entry : entries) {
+    result.entries.push_back(
+        {std::move(entry.stream), static_cast<uint8_t>(entry.has_deviation),
+         entry.deviation});
   }
   return {MessageType::kPartialAggregate, request.request_id, result.Encode()};
 }

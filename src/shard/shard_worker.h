@@ -3,12 +3,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
-#include <unordered_map>
 
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 #include "data/transaction_db.h"
+#include "serve/deviation_backend.h"
 #include "serve/metrics.h"
 #include "serve/monitor_service.h"
 #include "shard/wire.h"
@@ -19,9 +18,6 @@ namespace focus::shard {
 struct ShardWorkerOptions {
   uint32_t shard_index = 0;
   serve::MonitorServiceOptions service;
-  // How long kSubmitSnapshot waits for ingest backpressure to clear
-  // before answering 429 (mirrors HttpApiOptions::ingest_wait_ms).
-  int ingest_wait_ms = 20;
 };
 
 // One shard: a full MonitorService + ModelCache owning a subset of the
@@ -30,9 +26,10 @@ struct ShardWorkerOptions {
 // which is how forked worker processes host it; the law tests and the
 // in-process bench call HandleFrame directly (same code, no sockets).
 //
-// The worker owns per-stream sequence assignment (it is the single owner
-// of each of its streams, so numbers stay dense no matter how many
-// front-end reactors forward ingests).
+// The data handlers decode a frame, ask the same serve::LocalBackend a
+// single-node focus_served uses, and encode its answer. The worker is the
+// single owner of each of its streams, so MonitorService::Ingest keeps
+// their sequences dense however many front-end reactors forward ingests.
 class ShardWorker {
  public:
   // `reference` is the calibration dataset for lazily added streams;
@@ -45,7 +42,7 @@ class ShardWorker {
   ShardWorker& operator=(const ShardWorker&) = delete;
 
   // Dispatches one request frame to a response frame. Thread-safe.
-  Frame HandleFrame(const Frame& request) EXCLUDES(streams_mutex_);
+  Frame HandleFrame(const Frame& request);
 
   // Starts a WireServer for this worker on `server_options.unix_path`.
   bool Serve(const WireServerOptions& server_options,
@@ -62,7 +59,7 @@ class ShardWorker {
 
  private:
   Frame HandlePing(const Frame& request);
-  Frame HandleSubmit(const Frame& request) EXCLUDES(streams_mutex_);
+  Frame HandleSubmit(const Frame& request);
   Frame HandleDeviationQuery(const Frame& request);
   Frame HandleCompare(const Frame& request);
   Frame HandleModelRegions(const Frame& request);
@@ -70,18 +67,10 @@ class ShardWorker {
   Frame HandleStreamPartials(const Frame& request);
 
   const ShardWorkerOptions options_;
-  const data::TransactionDb* const reference_;
-  serve::MetricsRegistry* const metrics_;  // may be null
   serve::MonitorService service_;
+  serve::LocalBackend backend_;
   std::unique_ptr<WireServer> server_;
   std::atomic<bool> draining_{false};
-
-  // Per-stream sequence numbers; serialized with lazy registration so a
-  // shed snapshot does not burn a number (same contract as the single-node
-  // HTTP ingest path).
-  common::Mutex streams_mutex_;
-  std::unordered_map<std::string, int64_t> next_sequence_
-      GUARDED_BY(streams_mutex_);
 };
 
 }  // namespace focus::shard

@@ -1,69 +1,13 @@
 #ifndef FOCUS_SHARD_SHARDED_API_H_
 #define FOCUS_SHARD_SHARDED_API_H_
 
-#include <atomic>
-#include <string>
-
-#include "net/http_server.h"
-#include "net/router.h"
-#include "serve/metrics.h"
-#include "shard/shard_router.h"
+#include "serve/http_api.h"
 
 namespace focus::shard {
 
-struct ShardedApiOptions {
-  // Retry-After seconds advertised with 429/503 responses.
-  int retry_after_s = 1;
-  // Stream names must match [A-Za-z0-9._-]{1,max_stream_name}.
-  size_t max_stream_name = 128;
-  // Which front-end reactor this api instance serves; used to label the
-  // reactor's server stats in /metrics (each reactor owns its own api +
-  // router so shard calls never serialize across reactors).
-  int reactor_index = 0;
-};
-
-// The sharded twin of serve::HttpApi: same endpoints, same response
-// bodies, but every operation routes through a ShardRouter instead of a
-// local MonitorService. The front end never parses snapshot bodies — an
-// ingest forwards the raw bytes to the owning shard, which parses, hashes,
-// and sequences them. Response formats match the single-node api exactly
-// (the shard law checker diffs the two), with one addition: a shard
-// transport failure answers 503 with Retry-After while the daemon drains.
-class ShardedApi {
- public:
-  // `router` and `metrics` must outlive the api; `metrics` may be null.
-  ShardedApi(const ShardedApiOptions& options, ShardRouter* router,
-             serve::MetricsRegistry* metrics);
-
-  net::Router BuildRouter();
-
-  // Lets GET /metrics fold this reactor's live server stats (labeled with
-  // the reactor index) into the shared registry at scrape time.
-  void AttachServer(const net::HttpServer* server) { server_ = server; }
-
-  void SetDraining(bool draining) { draining_.store(draining); }
-
- private:
-  net::HttpResponse HandleIngest(const net::HttpRequest& request,
-                                 const net::PathParams& params);
-  net::HttpResponse HandleDeviation(const net::HttpRequest& request,
-                                    const net::PathParams& params);
-  net::HttpResponse HandleCompare(const net::HttpRequest& request);
-  net::HttpResponse HandleSummary(const net::HttpRequest& request);
-  net::HttpResponse HandleMetrics(const net::HttpRequest& request);
-  net::HttpResponse HandleHealth();
-
-  net::HttpResponse ShardDownResponse(const std::string& error);
-  net::HttpResponse RetryAfter(net::HttpResponse response);
-  bool ValidStreamName(const std::string& name) const;
-  void CountShardOp(int shard, const char* op);
-
-  const ShardedApiOptions options_;
-  ShardRouter* const router_;
-  serve::MetricsRegistry* const metrics_;  // may be null
-  const net::HttpServer* server_ = nullptr;
-  std::atomic<bool> draining_{false};
-};
+// Old names of serve::HttpApi, kept because perfbench/ still spells them.
+using ShardedApi = serve::HttpApi;
+using ShardedApiOptions = serve::HttpApiOptions;
 
 }  // namespace focus::shard
 

@@ -276,42 +276,42 @@ bool PayloadReader::GetRegions(std::vector<lits::Itemset>* regions) {
 // ---------------------------------------------------------------------------
 // Deviation-function codes.
 
+namespace {
+
+// The names each code stands for, indexed by code (kDiffAbs, kDiffScaled;
+// kAggSum, kAggMax).
+constexpr const char* kDiffNames[] = {"abs", "scaled"};
+constexpr const char* kAggNames[] = {"sum", "max"};
+
+}  // namespace
+
 bool DeviationCodesFromNames(const std::string& f_name,
                              const std::string& g_name, uint8_t* f_code,
                              uint8_t* g_code) {
-  if (f_name == "abs") {
-    *f_code = kDiffAbs;
-  } else if (f_name == "scaled") {
-    *f_code = kDiffScaled;
-  } else {
-    return false;
+  for (uint8_t f = 0; f < 2; ++f) {
+    for (uint8_t g = 0; g < 2; ++g) {
+      if (f_name == kDiffNames[f] && g_name == kAggNames[g]) {
+        *f_code = f;
+        *g_code = g;
+        return true;
+      }
+    }
   }
-  if (g_name == "sum") {
-    *g_code = kAggSum;
-  } else if (g_name == "max") {
-    *g_code = kAggMax;
-  } else {
-    return false;
-  }
-  return true;
+  return false;
+}
+
+bool DeviationChoiceFromCodes(uint8_t f_code, uint8_t g_code,
+                              serve::DeviationChoice* choice) {
+  return f_code < 2 && g_code < 2 &&
+         serve::ResolveDeviationChoice(kDiffNames[f_code], kAggNames[g_code],
+                                       choice);
 }
 
 bool DeviationFunctionFromCodes(uint8_t f_code, uint8_t g_code,
                                 core::DeviationFunction* fn) {
-  if (f_code == kDiffAbs) {
-    fn->f = core::AbsoluteDiff();
-  } else if (f_code == kDiffScaled) {
-    fn->f = core::ScaledDiff();
-  } else {
-    return false;
-  }
-  if (g_code == kAggSum) {
-    fn->g = core::AggregateKind::kSum;
-  } else if (g_code == kAggMax) {
-    fn->g = core::AggregateKind::kMax;
-  } else {
-    return false;
-  }
+  serve::DeviationChoice choice;
+  if (!DeviationChoiceFromCodes(f_code, g_code, &choice)) return false;
+  *fn = choice.fn;
   return true;
 }
 
@@ -506,9 +506,6 @@ std::string PartialAggregateBody::Encode() const {
     out.PutU8(entry.has_deviation);
     out.PutDouble(entry.deviation);
   }
-  out.PutDouble(partial_sum);
-  out.PutDouble(partial_max);
-  out.PutU32(value_count);
   return out.Take();
 }
 
@@ -528,8 +525,7 @@ bool PartialAggregateBody::Decode(std::string_view payload) {
     }
     entries.push_back(std::move(entry));
   }
-  return in.GetDouble(&partial_sum) && in.GetDouble(&partial_max) &&
-         in.GetU32(&value_count) && in.AtEnd();
+  return in.AtEnd();
 }
 
 std::string ErrorBody::Encode() const {

@@ -9,6 +9,7 @@
 
 #include "core/functions.h"
 #include "itemsets/itemset.h"
+#include "serve/api_util.h"
 #include "serve/monitor_service.h"
 
 namespace focus::shard {
@@ -154,7 +155,7 @@ class PayloadReader {
 
 // ---------------------------------------------------------------------------
 // Deviation-function codes. The wire carries (f,g) as one byte each; the
-// mapping must stay in lockstep with serve::ParseDeviationFunction's
+// mapping must stay in lockstep with serve::ResolveDeviationChoice's
 // names.
 
 inline constexpr uint8_t kDiffAbs = 0;
@@ -165,6 +166,8 @@ inline constexpr uint8_t kAggMax = 1;
 bool DeviationCodesFromNames(const std::string& f_name,
                              const std::string& g_name, uint8_t* f_code,
                              uint8_t* g_code);
+bool DeviationChoiceFromCodes(uint8_t f_code, uint8_t g_code,
+                              serve::DeviationChoice* choice);
 bool DeviationFunctionFromCodes(uint8_t f_code, uint8_t g_code,
                                 core::DeviationFunction* fn);
 
@@ -287,10 +290,9 @@ struct StreamPartialsBody {
 };
 
 // One shard's contribution to a cross-stream aggregate: the per-stream
-// deviations it owns plus its local partial g_sum/g_max over them. g_max
-// partials merge exactly (max is associative); g_sum is merged by
-// recombining the per-stream terms in canonical (sorted-name) order, since
-// floating-point addition is not associative — see docs/SHARDING.md.
+// deviations it owns. The router recombines every shard's terms in
+// canonical (sorted-name) order, since floating-point addition is not
+// associative — see docs/SHARDING.md.
 struct PartialAggregateBody {
   struct Entry {
     std::string stream;
@@ -298,9 +300,6 @@ struct PartialAggregateBody {
     double deviation = 0.0;
   };
   std::vector<Entry> entries;
-  double partial_sum = 0.0;  // over entries with has_deviation, shard order
-  double partial_max = 0.0;
-  uint32_t value_count = 0;  // entries with has_deviation
 
   std::string Encode() const;
   bool Decode(std::string_view payload);

@@ -7,6 +7,7 @@
 
 #include "common/mutex.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -657,6 +658,73 @@ TEST(MonitorServiceTest, TrySubmitForShedsUnderSaturationThenRecovers) {
   EXPECT_EQ(service.TrySubmitFor(MakeSnapshot("s", 99, 8001),
                                  std::chrono::milliseconds(1)),
             SubmitResult::kShutdown);
+}
+
+// The one ingest decision every producer shares: a new stream registers
+// on first sight, sequences are dense per stream and stamped on the
+// snapshot, and a shed snapshot takes no number.
+TEST(MonitorServiceTest, IngestRegistersLazilyAndNeverBurnsASequence) {
+  MonitorServiceOptions options = SmallServiceOptions();
+  options.num_threads = 1;
+  options.queue_capacity = 1;  // in-flight bound: 1
+  options.ingest_wait_ms = 5;
+  MonitorService service(options, /*metrics=*/nullptr);
+  const data::TransactionDb reference = QuestDb(1000);
+
+  // Hold the single worker inside the sink so the service stays full.
+  common::Mutex gate_mutex;
+  common::CondVar gate_cv;
+  bool gate_open = false;
+  std::vector<std::string> seen;  // "<stream>#<seq>", guarded by the gate
+  service.SetEventSink([&](const StreamEvent& event) {
+    common::MutexLock lock(&gate_mutex);
+    seen.push_back(event.stream + "#" + std::to_string(event.sequence));
+    gate_cv.Wait(gate_mutex, [&] { return gate_open; });
+  });
+  const auto seen_count = [&] {
+    common::MutexLock lock(&gate_mutex);
+    return seen.size();
+  };
+
+  EXPECT_FALSE(service.HasStream("s"));
+  const IngestResult first =
+      service.Ingest(MakeSnapshot("s", -1, 7000), reference, false);
+  EXPECT_TRUE(service.HasStream("s"));
+  ASSERT_EQ(first.result, SubmitResult::kAccepted);
+  EXPECT_EQ(first.sequence, 0);
+  while (seen_count() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const IngestResult shed =
+      service.Ingest(MakeSnapshot("s", -1, 7001), reference, false);
+  EXPECT_EQ(shed.result, SubmitResult::kOverloaded);
+  EXPECT_EQ(shed.sequence, -1);
+
+  {
+    common::MutexLock lock(&gate_mutex);
+    gate_open = true;
+  }
+  gate_cv.NotifyAll();
+  const IngestResult next =
+      service.Ingest(MakeSnapshot("s", -1, 7002), reference, true);
+  EXPECT_EQ(next.result, SubmitResult::kAccepted);
+  EXPECT_EQ(next.sequence, 1);  // the shed snapshot burned nothing
+  EXPECT_EQ(service.Ingest(MakeSnapshot("t", -1, 7003), reference, true)
+                .sequence,
+            0);
+  service.Flush();
+  EXPECT_EQ(service.processed(), 3);
+  {
+    common::MutexLock lock(&gate_mutex);
+    std::sort(seen.begin(), seen.end());
+    EXPECT_EQ(seen, (std::vector<std::string>{"s#0", "s#1", "t#0"}));
+  }
+
+  service.Shutdown();
+  const IngestResult late =
+      service.Ingest(MakeSnapshot("s", -1, 7004), reference, true);
+  EXPECT_EQ(late.result, SubmitResult::kShutdown);
+  EXPECT_EQ(late.sequence, -1);
 }
 
 TEST(MonitorServiceTest, StatusAndQueryDeviationTrackLatestSnapshot) {

@@ -263,5 +263,32 @@ TEST_F(ServedShardedTest, SigtermFinishesAcceptedWorkAcrossShards) {
   EXPECT_EQ(processed, accepted) << log;
 }
 
+// --events logs the in-process service's events; with --shards the events
+// happen in the workers, so asking for both is a usage error (exit 1)
+// before anything is forked or bound.
+TEST_F(ServedShardedTest, EventsWithShardsIsAUsageError) {
+  const std::string events_path = (root_ / "events.jsonl").string();
+  pid_ = fork();
+  if (pid_ == 0) {
+    const int out = open((root_ / "stdout.txt").c_str(),
+                         O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    dup2(out, STDOUT_FILENO);
+    dup2(out, STDERR_FILENO);
+    execl(FOCUS_SERVED_PATH, FOCUS_SERVED_PATH, "--reference",
+          reference_path_.c_str(), "--port", "0", "--port-file",
+          port_file_.c_str(), "--shards", "2", "--events",
+          events_path.c_str(), static_cast<char*>(nullptr));
+    _exit(127);  // exec failed
+  }
+  int status = 0;
+  waitpid(pid_, &status, 0);
+  pid_ = -1;
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 1);
+  EXPECT_NE(ReadLog().find("--events"), std::string::npos) << ReadLog();
+  EXPECT_FALSE(fs::exists(events_path));
+  EXPECT_FALSE(fs::exists(port_file_));
+}
+
 }  // namespace
 }  // namespace focus

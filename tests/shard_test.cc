@@ -183,16 +183,12 @@ TEST(WireCodecTest, MessageBodiesRoundTrip) {
   {
     PartialAggregateBody body;
     body.entries = {{"a", 1, 0.5}, {"b", 0, 0.0}};
-    body.partial_sum = 0.5;
-    body.partial_max = 0.5;
-    body.value_count = 1;
     PartialAggregateBody out;
     ASSERT_TRUE(out.Decode(body.Encode()));
     ASSERT_EQ(out.entries.size(), 2u);
     EXPECT_EQ(out.entries[0].stream, "a");
     EXPECT_EQ(out.entries[0].deviation, 0.5);
     EXPECT_EQ(out.entries[1].has_deviation, 0);
-    EXPECT_EQ(out.value_count, 1u);
   }
   {  // trailing garbage after a valid body must be rejected (AtEnd check)
     ErrorBody body;
