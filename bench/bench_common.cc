@@ -1,5 +1,6 @@
 #include "bench_common.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
@@ -23,7 +24,9 @@ int64_t ScaledCount(int64_t default_small, int64_t paper_full) {
   const double scale = common::GetEnvDouble("FOCUS_SCALE", 1.0);
   const int64_t scaled =
       static_cast<int64_t>(static_cast<double>(default_small) * scale);
-  return scaled < 100 ? 100 : scaled;
+  // Tiny scales floor at 100, but never above the unscaled default, so a
+  // smoke run is never larger than a default run.
+  return std::max(scaled, std::min<int64_t>(100, default_small));
 }
 
 int SamplesPerFraction(int default_samples) {

@@ -23,7 +23,8 @@ namespace focus::bench {
 //   FOCUS_REPLICATES=<n> bootstrap replicates for sig(delta) (default 9)
 
 // Chooses a workload size: the paper's `paper_full` under FOCUS_FULL,
-// otherwise `default_small` scaled by FOCUS_SCALE.
+// otherwise `default_small` scaled by FOCUS_SCALE and floored at
+// min(100, default_small).
 int64_t ScaledCount(int64_t default_small, int64_t paper_full);
 
 // Machine-readable results: prints `json_line` to stdout and, when the

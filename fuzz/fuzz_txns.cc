@@ -1,5 +1,5 @@
 // Fuzz target for the focus-txns-v1 spool parser — the loader that
-// focus_monitord feeds with untrusted files. Beyond not crashing, the
+// focus_served --spool feeds with untrusted files. Beyond not crashing, the
 // parser must be a retraction: anything it ACCEPTS must re-serialize to
 // a form it accepts again, identically (otherwise the daemon's
 // processed/ archive would not round-trip).

@@ -10,7 +10,7 @@
 namespace focus::common {
 
 // Hardened `--flag value` parser shared by the CLI tools (focus_cli,
-// focus_monitord). Every flag takes exactly one value. Malformed command
+// focus_served). Every flag takes exactly one value. Malformed command
 // lines are rejected with a diagnostic on stderr rather than silently
 // ignored:
 //   * a token that is not a --flag where one is expected,

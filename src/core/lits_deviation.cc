@@ -41,15 +41,6 @@ std::vector<double> ExtendModelWith(const std::vector<lits::Itemset>& regions,
 
 std::vector<double> ExtendModel(const std::vector<lits::Itemset>& regions,
                                 const lits::LitsModel& model,
-                                const data::TransactionDb& db) {
-  return ExtendModelWith(regions, model,
-                         [&db](const std::vector<lits::Itemset>& missing) {
-                           return lits::CountSupports(db, missing);
-                         });
-}
-
-std::vector<double> ExtendModel(const std::vector<lits::Itemset>& regions,
-                                const lits::LitsModel& model,
                                 data::TxnSourceRef source) {
   return ExtendModelWith(
       regions, model, [source](const std::vector<lits::Itemset>& missing) {
@@ -104,16 +95,6 @@ std::vector<lits::Itemset> LitsGcr(const lits::LitsModel& m1,
 }
 
 double LitsDeviationOverRegions(const std::vector<lits::Itemset>& regions,
-                                const data::TransactionDb& d1,
-                                const data::TransactionDb& d2,
-                                const DeviationFunction& fn) {
-  return AggregateRegionDiffs(lits::CountSupports(d1, regions),
-                              static_cast<double>(d1.num_transactions()),
-                              lits::CountSupports(d2, regions),
-                              static_cast<double>(d2.num_transactions()), fn);
-}
-
-double LitsDeviationOverRegions(const std::vector<lits::Itemset>& regions,
                                 data::ItemIndexRef i1, data::ItemIndexRef i2,
                                 const DeviationFunction& fn) {
   const lits::SupportCounter counter1(regions, i1.num_items());
@@ -122,16 +103,6 @@ double LitsDeviationOverRegions(const std::vector<lits::Itemset>& regions,
                               static_cast<double>(i1.num_transactions()),
                               counter2.CountRelative(i2),
                               static_cast<double>(i2.num_transactions()), fn);
-}
-
-double LitsDeviation(const lits::LitsModel& m1, const data::TransactionDb& d1,
-                     const lits::LitsModel& m2, const data::TransactionDb& d2,
-                     const DeviationFunction& fn) {
-  const std::vector<lits::Itemset> gcr = LitsGcr(m1, m2);
-  return AggregateRegionDiffs(ExtendModel(gcr, m1, d1),
-                              static_cast<double>(d1.num_transactions()),
-                              ExtendModel(gcr, m2, d2),
-                              static_cast<double>(d2.num_transactions()), fn);
 }
 
 double LitsDeviation(const lits::LitsModel& m1, data::ItemIndexRef i1,

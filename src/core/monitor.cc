@@ -45,11 +45,6 @@ void LitsChangeMonitor::Calibrate() {
   alert_threshold_ = options_.alert_factor * level;
 }
 
-MonitorReport LitsChangeMonitor::Inspect(
-    const data::TransactionDb& snapshot) const {
-  return Inspect(data::TxnSourceRef(snapshot));
-}
-
 MonitorReport LitsChangeMonitor::Inspect(data::TxnSourceRef snapshot) const {
   // One scan builds the snapshot's index; mining and the (possible)
   // stage-2 extension then both run vertically against it.
@@ -57,13 +52,6 @@ MonitorReport LitsChangeMonitor::Inspect(data::TxnSourceRef snapshot) const {
   return InspectWithModel(
       snapshot, lits::Apriori(snapshot, options_.apriori, &snapshot_index),
       &snapshot_index);
-}
-
-MonitorReport LitsChangeMonitor::InspectWithModel(
-    const data::TransactionDb& snapshot, const lits::LitsModel& snapshot_model,
-    data::ItemIndexRef snapshot_index) const {
-  return InspectWithModel(data::TxnSourceRef(snapshot), snapshot_model,
-                          snapshot_index);
 }
 
 MonitorReport LitsChangeMonitor::InspectWithModel(

@@ -51,13 +51,11 @@ class LitsChangeMonitor {
   LitsChangeMonitor(const data::TransactionDb& reference,
                     const MonitorOptions& options);
 
-  // Inspects one snapshot; does NOT update the reference.
-  MonitorReport Inspect(const data::TransactionDb& snapshot) const;
-
-  // Either-backend variant: a block-backed snapshot streams through every
-  // stage (index build, mining, stage-2 counting, bootstrap resampling)
-  // without ever being materialized as one flat TransactionDb. Reports
-  // are bit-identical across backends.
+  // Inspects one snapshot; does NOT update the reference. Either backend
+  // (a TransactionDb converts implicitly): a block-backed snapshot streams
+  // through every stage (index build, mining, stage-2 counting, bootstrap
+  // resampling) without ever being materialized as one flat
+  // TransactionDb. Reports are bit-identical across backends.
   MonitorReport Inspect(data::TxnSourceRef snapshot) const;
 
   // Same, with a caller-supplied model of `snapshot` (e.g. from the
@@ -70,10 +68,6 @@ class LitsChangeMonitor {
   // own reference index — no re-scan of either dataset's raw
   // transactions. The report is bit-identical with or without the index,
   // and for either backend.
-  MonitorReport InspectWithModel(
-      const data::TransactionDb& snapshot,
-      const lits::LitsModel& snapshot_model,
-      data::ItemIndexRef snapshot_index = {}) const;
   MonitorReport InspectWithModel(
       data::TxnSourceRef snapshot, const lits::LitsModel& snapshot_model,
       data::ItemIndexRef snapshot_index = {}) const;

@@ -159,9 +159,6 @@ void RoaringIndex::AppendContainer(Item& item, int32_t key,
   item.containers.push_back(std::move(container));
 }
 
-RoaringIndex::RoaringIndex(const TransactionDb& db)
-    : RoaringIndex(TxnSourceRef(db)) {}
-
 RoaringIndex::RoaringIndex(TxnSourceRef source,
                            const RoaringBuildOptions& options)
     : num_transactions_(source.num_transactions()),

@@ -74,13 +74,10 @@ class RoaringIndex {
   static constexpr int32_t kArrayMaxCardinality = 4096;
 
   RoaringIndex() = default;
-  // One scan of `db` (TransactionDb's sorted-unique invariant required,
-  // as for VerticalIndex).
-  explicit RoaringIndex(const TransactionDb& db);
-  // One scan of either backend; block-backed sources stream with
-  // read-ahead. With options.spill engaged, staged partition runs go
-  // through a scratch block file (see RoaringBuildOptions) — the result is
-  // operator==-identical either way.
+  // One scan of either backend (a TransactionDb converts implicitly);
+  // block-backed sources stream with read-ahead. With options.spill
+  // engaged, staged partition runs go through a scratch block file (see
+  // RoaringBuildOptions) — the result is operator==-identical either way.
   explicit RoaringIndex(TxnSourceRef source,
                         const RoaringBuildOptions& options = {});
 

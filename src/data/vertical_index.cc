@@ -7,9 +7,6 @@
 
 namespace focus::data {
 
-VerticalIndex::VerticalIndex(const TransactionDb& db)
-    : VerticalIndex(TxnSourceRef(db)) {}
-
 VerticalIndex::VerticalIndex(TxnSourceRef source)
     : num_items_(source.num_items()),
       num_transactions_(source.num_transactions()),

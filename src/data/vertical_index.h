@@ -29,15 +29,12 @@ namespace focus::data {
 // entirely. Build once, probe many.
 class VerticalIndex {
  public:
-  // One scan of `db`. Transactions must satisfy TransactionDb's
-  // sorted-unique invariant (they do, by construction).
-  explicit VerticalIndex(const TransactionDb& db);
-
-  // One scan of either backend: block-backed sources stream through the
-  // same build loop block-at-a-time (with read-ahead), touching each
-  // occurrence exactly once. The resulting index is identical — not just
-  // count-equal, operator==-equal — to an in-memory build of the same
-  // logical database.
+  // One scan of either backend (a TransactionDb converts implicitly;
+  // transactions satisfy its sorted-unique invariant by construction):
+  // block-backed sources stream through the same build loop
+  // block-at-a-time (with read-ahead), touching each occurrence exactly
+  // once. The resulting index is identical — not just count-equal,
+  // operator==-equal — to an in-memory build of the same logical database.
   explicit VerticalIndex(TxnSourceRef source);
 
   bool operator==(const VerticalIndex& other) const = default;

@@ -85,11 +85,6 @@ std::vector<Itemset> LitsModel::StructuralComponent() const {
   return itemsets;
 }
 
-LitsModel Apriori(const data::TransactionDb& db, const AprioriOptions& options,
-                  data::ItemIndexRef index) {
-  return Apriori(data::TxnSourceRef(db), options, index);
-}
-
 LitsModel Apriori(data::TxnSourceRef source, const AprioriOptions& options,
                   data::ItemIndexRef index) {
   FOCUS_CHECK_GT(options.min_support, 0.0);

@@ -65,23 +65,21 @@ struct AprioriOptions {
 // generation with subset pruning, one counting scan per level.
 //
 // When `index` is non-empty it must be a vertical index (flat
-// data::VerticalIndex or compressed data::RoaringIndex) built from `db`;
-// every counting pass (the L1 item scan and each level's candidate scan)
-// then runs against the per-item TID sets instead of re-scanning the raw
-// transactions. Counts are identical integers either way, so the mined
-// model is bit-identical to the horizontal one — the index only changes
-// how fast the same supports are obtained, and it amortizes its single
-// build scan across all levels (and across every other counting consumer
-// of the same database).
-LitsModel Apriori(const data::TransactionDb& db, const AprioriOptions& options,
-                  data::ItemIndexRef index = {});
-
-// The same miner over either transaction backend: block-backed sources
-// stream each counting pass block by block in bounded memory (with the
-// usual read-ahead), and the mined model is bit-identical to the in-memory
-// run — every pass computes the same integer counts. With a prebuilt
-// `index`, the raw transactions are only consulted for the database
-// dimensions, so a 1M-transaction mine never materializes the database.
+// data::VerticalIndex or compressed data::RoaringIndex) built from
+// `source`; every counting pass (the L1 item scan and each level's
+// candidate scan) then runs against the per-item TID sets instead of
+// re-scanning the raw transactions. Counts are identical integers either
+// way, so the mined model is bit-identical to the horizontal one — the
+// index only changes how fast the same supports are obtained, and it
+// amortizes its single build scan across all levels (and across every
+// other counting consumer of the same database). With an index, the raw
+// transactions are only consulted for the database dimensions, so a
+// 1M-transaction mine never materializes the database.
+//
+// Either transaction backend (a TransactionDb converts implicitly):
+// block-backed sources stream each counting pass block by block in
+// bounded memory (with the usual read-ahead), and the mined model is
+// bit-identical to the in-memory run.
 LitsModel Apriori(data::TxnSourceRef source, const AprioriOptions& options,
                   data::ItemIndexRef index = {});
 

@@ -32,20 +32,12 @@ class SupportCounter {
  public:
   SupportCounter(std::span<const Itemset> itemsets, int32_t num_items);
 
-  // Absolute occurrence counts, aligned with the constructor's itemsets.
-  std::vector<int64_t> CountAbsolute(const data::TransactionDb& db) const;
+  // Every counting path returns absolute occurrence counts aligned with
+  // the constructor's itemsets.
 
-  // Parallel CountAbsolute: shards the transaction scan across `pool`'s
-  // workers into per-shard count vectors (each worker keeps its own
-  // presence bitmap) and sums them in shard order. Counts are integers and
-  // shard boundaries depend only on (|D|, pool size), so the result is
-  // bit-identical to CountAbsolute.
-  std::vector<int64_t> CountAbsoluteParallel(const data::TransactionDb& db,
-                                             common::ThreadPool& pool) const;
-
-  // Vertical counting path over a prebuilt index (flat or roaring) of the
-  // same database: bit-identical to CountAbsolute(db) for an index built
-  // from db, at every simd dispatch level.
+  // Vertical counting path over a prebuilt index (flat or roaring) of a
+  // database: bit-identical to the horizontal CountAbsolute(source) of the
+  // same database, at every simd dispatch level.
   std::vector<int64_t> CountAbsolute(data::ItemIndexRef index) const;
 
   // Vertical counting parallelized over ITEMSETS (not transactions): each
@@ -55,24 +47,22 @@ class SupportCounter {
   std::vector<int64_t> CountAbsoluteParallel(data::ItemIndexRef index,
                                              common::ThreadPool& pool) const;
 
-  // Block-streaming horizontal counting over either transaction backend:
-  // each decoded block IS a TransactionDb, so the same CountRange kernel
-  // runs block by block and per-block counts sum — bit-identical to the
-  // in-memory scan for every block size.
+  // Horizontal counting over either transaction backend (a TransactionDb
+  // converts implicitly): each decoded block IS a TransactionDb, so the
+  // same CountRange kernel runs block by block and per-block counts sum —
+  // bit-identical to the in-memory scan for every block size.
   std::vector<int64_t> CountAbsolute(data::TxnSourceRef source) const;
 
-  // Parallel over BLOCK-ALIGNED shards on the block backend (per-shard
-  // count vectors summed in shard order, like the transaction-sharded
-  // path, which the in-memory backend falls back to). Shard boundaries
-  // depend only on (num_blocks, pool size), so this too is bit-identical
-  // to CountAbsolute(source).
+  // Parallel horizontal counting into per-shard count vectors (each worker
+  // keeps its own presence bitmap) summed in shard order. The in-memory
+  // backend shards its transactions; the block backend shards whole
+  // blocks. Shard boundaries depend only on (|D| or num_blocks, pool
+  // size) and counts are integers, so this is bit-identical to
+  // CountAbsolute(source).
   std::vector<int64_t> CountAbsoluteParallel(data::TxnSourceRef source,
                                              common::ThreadPool& pool) const;
 
   // Relative supports (counts / |D|).
-  std::vector<double> CountRelative(const data::TransactionDb& db) const;
-  std::vector<double> CountRelativeParallel(const data::TransactionDb& db,
-                                            common::ThreadPool& pool) const;
   std::vector<double> CountRelative(data::ItemIndexRef index) const;
   std::vector<double> CountRelativeParallel(data::ItemIndexRef index,
                                             common::ThreadPool& pool) const;

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <ostream>
 
 #include "common/check.h"
 #include "common/mutex.h"
@@ -238,10 +237,6 @@ std::string MetricsRegistry::ToJson() const {
   }
   out += "}}";
   return out;
-}
-
-void MetricsRegistry::WriteJsonLine(std::ostream& out) const {
-  out << ToJson() << '\n';
 }
 
 std::string MetricsRegistry::ToPrometheusText(const std::string& prefix) const {

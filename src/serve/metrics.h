@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <string>
@@ -91,13 +90,9 @@ class MetricsRegistry {
   //   {"unix_ms":…,"counters":{…},"gauges":{…},"histograms":{…}}
   std::string ToJson() const EXCLUDES(mutex_);
 
-  // Appends ToJson() and a newline (one JSONL record).
-  void WriteJsonLine(std::ostream& out) const;
-
   // Prometheus text exposition format (version 0.0.4): every counter,
   // gauge, and histogram under `prefix_` + a sanitized metric name, with
-  // # TYPE comments — what GET /metrics serves and focus_monitord's
-  // --prom textfile contains.
+  // # TYPE comments — what GET /metrics serves.
   std::string ToPrometheusText(const std::string& prefix = "focus_") const
       EXCLUDES(mutex_);
 

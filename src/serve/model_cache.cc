@@ -84,11 +84,6 @@ std::optional<MinedSnapshot> ModelCache::LookupMined(uint64_t content_hash) {
   return it->second.mined;
 }
 
-MinedSnapshot ModelCache::GetOrMineIndexed(const data::TransactionDb& db,
-                                           bool* cache_hit) {
-  return GetOrMineIndexed(data::TxnSourceRef(db), cache_hit);
-}
-
 MinedSnapshot ModelCache::GetOrMineIndexed(data::TxnSourceRef source,
                                            bool* cache_hit) {
   const uint64_t key = TxnSourceContentHash(source);

@@ -67,7 +67,7 @@ class ModelCache {
   // When `metrics` is non-null (it must outlive the cache), every hit,
   // miss, and eviction also bumps the registry counters `cache_hits` /
   // `cache_misses` / `cache_evictions`, so cache behavior is visible on
-  // /metrics and in the monitord JSONL export without polling stats().
+  // /metrics without polling stats().
   // `backend` picks the vertical index each miss builds: the flat
   // VerticalIndex (fastest probes, |D|-proportional memory) or the
   // compressed RoaringIndex (occurrence-proportional memory). Counts are
@@ -76,17 +76,15 @@ class ModelCache {
              MetricsRegistry* metrics = nullptr,
              data::IndexBackend backend = data::IndexBackend::kFlat);
 
-  // Returns the model + vertical index of `db` under the cache's mining
-  // options, building both on a miss. `cache_hit`, when given, reports
-  // whether the build was skipped.
-  MinedSnapshot GetOrMineIndexed(const data::TransactionDb& db,
-                                 bool* cache_hit = nullptr) EXCLUDES(mutex_);
-
-  // Either-backend variant: a block-backed snapshot streams through both
-  // the content hash and (on a miss) the index build + mining passes, so
-  // the only full-size allocation a miss makes is the index itself (use
-  // the roaring backend to keep that occurrence-proportional). The cached
-  // entry is bit-identical to the one an in-memory copy would produce.
+  // Returns the model + vertical index of `source` under the cache's
+  // mining options, building both on a miss. `cache_hit`, when given,
+  // reports whether the build was skipped. Either backend (a
+  // TransactionDb converts implicitly): a block-backed snapshot streams
+  // through both the content hash and (on a miss) the index build +
+  // mining passes, so the only full-size allocation a miss makes is the
+  // index itself (use the roaring backend to keep that occurrence-
+  // proportional). The cached entry is bit-identical to the one an
+  // in-memory copy would produce.
   MinedSnapshot GetOrMineIndexed(data::TxnSourceRef source,
                                  bool* cache_hit = nullptr) EXCLUDES(mutex_);
 

@@ -37,23 +37,48 @@ std::string StreamEvent::ToJson() const {
   return out;
 }
 
-MonitorServiceOptions ServiceOptionsFromFlags(const common::Flags& flags) {
+std::optional<MonitorServiceOptions> ServiceOptionsFromFlags(
+    const common::Flags& flags, std::string* error) {
+  // Each bound excludes what the service would abort on or misbehave
+  // with: --queue 0 sheds every ingest, --threads 0 has no worker, and a
+  // negative count would wrap to a huge size_t. The first violation wins.
+  error->clear();
+  const auto require = [error](bool ok, const std::string& message) {
+    if (!ok && error->empty()) *error = message;
+  };
+  const auto get_int = [&](const char* name, int64_t fallback, int64_t lo,
+                           int64_t hi) {
+    const int64_t value = flags.GetInt(name, fallback);
+    require(value >= lo && value <= hi,
+            std::string("--") + name + " must be in [" + std::to_string(lo) +
+                ", " + std::to_string(hi) + "]");
+    return value;
+  };
+  constexpr int64_t kMaxCount = int64_t{1} << 20;
   MonitorServiceOptions options;
   options.monitor.apriori.min_support = flags.GetDouble("minsup", 0.01);
+  require(options.monitor.apriori.min_support > 0.0 &&
+              options.monitor.apriori.min_support <= 1.0,
+          "--minsup must be in (0, 1]");
   options.monitor.alert_factor = flags.GetDouble("factor", 2.0);
-  options.monitor.calibration_replicates =
-      static_cast<int>(flags.GetInt("calibration", 5));
-  options.monitor.significance.num_replicates =
-      static_cast<int>(flags.GetInt("replicates", 9));
-  options.cusum.warmup = static_cast<int>(flags.GetInt("warmup", 5));
+  require(options.monitor.alert_factor > 0.0, "--factor must be > 0");
   options.cusum.slack = flags.GetDouble("slack", 0.5);
+  require(options.cusum.slack >= 0.0, "--slack must be >= 0");
   options.cusum.decision_threshold = flags.GetDouble("decision", 5.0);
-  options.num_threads = static_cast<int>(flags.GetInt("threads", 4));
-  options.queue_capacity = static_cast<size_t>(flags.GetInt("queue", 64));
+  require(options.cusum.decision_threshold > 0.0, "--decision must be > 0");
+  options.monitor.calibration_replicates =
+      static_cast<int>(get_int("calibration", 5, 1, kMaxCount));
+  options.monitor.significance.num_replicates =
+      static_cast<int>(get_int("replicates", 9, 1, kMaxCount));
+  options.cusum.warmup = static_cast<int>(get_int("warmup", 5, 2, kMaxCount));
+  options.num_threads = static_cast<int>(get_int("threads", 4, 1, 1024));
+  options.queue_capacity =
+      static_cast<size_t>(get_int("queue", 64, 1, kMaxCount));
   options.model_cache_capacity =
-      static_cast<size_t>(flags.GetInt("cache", 64));
+      static_cast<size_t>(get_int("cache", 64, 1, kMaxCount));
   options.ingest_wait_ms = static_cast<int>(
-      flags.GetInt("ingest-wait-ms", options.ingest_wait_ms));
+      get_int("ingest-wait-ms", options.ingest_wait_ms, 0, 60'000));
+  if (!error->empty()) return std::nullopt;
   return options;
 }
 
@@ -111,24 +136,29 @@ void MonitorService::SetEventSink(
 }
 
 bool MonitorService::Submit(Snapshot snapshot) {
-  return Enqueue(std::move(snapshot), std::nullopt) == SubmitResult::kAccepted;
+  return Enqueue(&snapshot, std::nullopt) == SubmitResult::kAccepted;
 }
 
 SubmitResult MonitorService::TrySubmitFor(Snapshot snapshot,
                                           std::chrono::milliseconds timeout) {
-  return Enqueue(std::move(snapshot), timeout);
+  const SubmitResult result = Enqueue(&snapshot, timeout);
+  if (result == SubmitResult::kOverloaded) CountShed();
+  return result;
+}
+
+void MonitorService::CountShed() {
+  if (metrics_ != nullptr) metrics_->GetCounter("snapshots_shed").Increment();
 }
 
 SubmitResult MonitorService::Enqueue(
-    Snapshot snapshot, std::optional<std::chrono::milliseconds> timeout) {
+    Snapshot* snapshot, std::optional<std::chrono::milliseconds> timeout) {
   {
     // Bound the total number of snapshots in flight (queued + pending +
     // processing) by the queue capacity: this is the backpressure the
     // producer feels.
     MutexLock lock(&state_mutex_);
     const auto has_room = [this]() REQUIRES(state_mutex_) {
-      return shutdown_ ||
-             in_flight_ < static_cast<int64_t>(options_.queue_capacity);
+      return HasRoomLocked();
     };
     bool ready = true;
     if (timeout.has_value()) {
@@ -137,17 +167,12 @@ SubmitResult MonitorService::Enqueue(
       idle_cv_.Wait(state_mutex_, has_room);
     }
     if (shutdown_) return SubmitResult::kShutdown;
-    if (!ready) {
-      if (metrics_ != nullptr) {
-        metrics_->GetCounter("snapshots_shed").Increment();
-      }
-      return SubmitResult::kOverloaded;
-    }
+    if (!ready) return SubmitResult::kOverloaded;
     ++in_flight_;
   }
   // in_flight_ < capacity guarantees queue room: items leave the queue
   // before they stop counting as in flight, so this Push cannot block.
-  if (!queue_.Push(std::move(snapshot))) {
+  if (!queue_.Push(std::move(*snapshot))) {
     MutexLock lock(&state_mutex_);
     --in_flight_;
     idle_cv_.NotifyAll();
@@ -160,19 +185,40 @@ SubmitResult MonitorService::Enqueue(
   return SubmitResult::kAccepted;
 }
 
+bool MonitorService::HasRoomLocked() const {
+  return shutdown_ ||
+         in_flight_ < static_cast<int64_t>(options_.queue_capacity);
+}
+
 IngestResult MonitorService::Ingest(Snapshot snapshot,
                                     const data::TransactionDb& reference,
                                     bool block) {
-  MutexLock lock(&ingest_mutex_);
-  if (!HasStream(snapshot.stream)) AddStream(snapshot.stream, reference);
-  int64_t& next = next_sequence_[snapshot.stream];
-  snapshot.sequence = next;
-  std::optional<std::chrono::milliseconds> timeout;  // none: block
-  if (!block) timeout = std::chrono::milliseconds(options_.ingest_wait_ms);
-  IngestResult out;
-  out.result = Enqueue(std::move(snapshot), timeout);
-  if (out.result == SubmitResult::kAccepted) out.sequence = next++;
-  return out;
+  // The bounded path is one attempt of at most ingest_wait_ms. A blocking
+  // ingest only ever tries for room under the ingest lock, never waits.
+  const auto wait =
+      std::chrono::milliseconds(block ? 0 : options_.ingest_wait_ms);
+  for (;;) {
+    {
+      MutexLock lock(&ingest_mutex_);
+      if (!HasStream(snapshot.stream)) AddStream(snapshot.stream, reference);
+      int64_t& next = next_sequence_[snapshot.stream];
+      snapshot.sequence = next;
+      IngestResult out;
+      out.result = Enqueue(&snapshot, wait);
+      if (out.result == SubmitResult::kAccepted) out.sequence = next++;
+      if (out.result != SubmitResult::kOverloaded) return out;
+      if (!block) {
+        CountShed();
+        return out;
+      }
+    }
+    // A blocking ingest waits for room WITHOUT the ingest lock, so bounded
+    // ingests of other producers keep answering (or shedding) meanwhile;
+    // the next attempt re-stamps the stream's then-current sequence.
+    MutexLock lock(&state_mutex_);
+    idle_cv_.Wait(state_mutex_,
+                  [this]() REQUIRES(state_mutex_) { return HasRoomLocked(); });
+  }
 }
 
 std::optional<StreamStatus> MonitorService::GetStreamStatus(

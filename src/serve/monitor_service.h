@@ -43,11 +43,13 @@ struct MonitorServiceOptions {
   int ingest_wait_ms = 20;
 };
 
-// The options the daemons share, read from their common flags (--minsup,
+// The service options of focus_served, read from its flags (--minsup,
 // --factor, --calibration, --replicates, --warmup, --slack, --decision,
 // --threads, --queue, --cache, --ingest-wait-ms), each defaulting as the
-// daemons document.
-MonitorServiceOptions ServiceOptionsFromFlags(const common::Flags& flags);
+// daemon documents. Nullopt, with the flag and its valid range in
+// `*error`, when a value is out of range.
+std::optional<MonitorServiceOptions> ServiceOptionsFromFlags(
+    const common::Flags& flags, std::string* error);
 
 // One processed snapshot produces one event.
 struct StreamEvent {
@@ -159,12 +161,13 @@ class MonitorService {
       EXCLUDES(state_mutex_);
 
   // The one ingest decision every producer shares (HTTP, shard worker,
-  // spool daemon): registers `snapshot.stream` against `reference` on
-  // first sight, stamps the stream's next dense sequence, and submits —
-  // blocking on backpressure when `block`, otherwise waiting at most
-  // options.ingest_wait_ms. A shed or refused snapshot consumes no
-  // sequence number. Ingests serialize on their own mutex, never holding
-  // state_mutex_ across the wait (the dispatcher needs it to make room).
+  // spool scanner): registers `snapshot.stream` against `reference` on
+  // first sight, stamps the stream's next dense sequence, and submits. A
+  // bounded ingest (`block` false) waits at most options.ingest_wait_ms
+  // for backpressure to clear, then sheds with kOverloaded; a blocking one
+  // waits for room with no lock held and retries, so it never stalls a
+  // bounded ingest of another producer. A shed or refused snapshot
+  // consumes no sequence number.
   IngestResult Ingest(Snapshot snapshot, const data::TransactionDb& reference,
                       bool block) EXCLUDES(ingest_mutex_, state_mutex_);
 
@@ -213,10 +216,14 @@ class MonitorService {
         : cusum(cusum_options) {}
   };
 
-  // Submit and TrySubmitFor: waits for room (at most `timeout` when set).
-  SubmitResult Enqueue(Snapshot snapshot,
+  // Submit, TrySubmitFor and Ingest: waits for room (at most `timeout`
+  // when set) and moves `*snapshot` into the queue only when accepted, so
+  // a shed snapshot stays with the caller for a retry.
+  SubmitResult Enqueue(Snapshot* snapshot,
                        std::optional<std::chrono::milliseconds> timeout)
       EXCLUDES(state_mutex_);
+  bool HasRoomLocked() const REQUIRES(state_mutex_);
+  void CountShed();
   void DispatchLoop();
   void Route(Snapshot snapshot) EXCLUDES(state_mutex_);
   void DrainStream(Stream* stream) EXCLUDES(state_mutex_);

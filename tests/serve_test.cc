@@ -727,6 +727,91 @@ TEST(MonitorServiceTest, IngestRegistersLazilyAndNeverBurnsASequence) {
   EXPECT_EQ(late.sequence, -1);
 }
 
+// A blocking ingest (the spool scanner's) waiting on a full service must
+// not hold up a bounded ingest (HTTP's) of another producer: the bounded
+// one still sheds within its own wait instead of queueing behind it.
+TEST(MonitorServiceTest, BlockingIngestNeverStallsABoundedOne) {
+  MonitorServiceOptions options = SmallServiceOptions();
+  options.num_threads = 1;
+  options.queue_capacity = 1;  // in-flight bound: 1
+  options.ingest_wait_ms = 20;
+  MetricsRegistry metrics;
+  MonitorService service(options, &metrics);
+  const data::TransactionDb reference = QuestDb(1000);
+
+  // Hold the single worker inside the sink so the service stays full.
+  common::Mutex gate_mutex;
+  common::CondVar gate_cv;
+  bool gate_open = false;
+  int seen = 0;
+  service.SetEventSink([&](const StreamEvent&) {
+    common::MutexLock lock(&gate_mutex);
+    ++seen;
+    gate_cv.Wait(gate_mutex, [&] { return gate_open; });
+  });
+  const auto open_gate = [&] {
+    {
+      common::MutexLock lock(&gate_mutex);
+      gate_open = true;
+    }
+    gate_cv.NotifyAll();
+  };
+  const auto seen_count = [&] {
+    common::MutexLock lock(&gate_mutex);
+    return seen;
+  };
+
+  ASSERT_EQ(service.Ingest(MakeSnapshot("s", -1, 7100), reference, false)
+                .result,
+            SubmitResult::kAccepted);
+  while (seen_count() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  IngestResult blocked;
+  std::thread spool([&] {
+    blocked = service.Ingest(MakeSnapshot("s", -1, 7101), reference, true);
+  });
+  // Let the blocking ingest reach its wait for room.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  std::atomic<bool> bounded_done{false};
+  IngestResult bounded;
+  double bounded_ms = 0.0;
+  std::thread http([&] {
+    const auto start = std::chrono::steady_clock::now();
+    bounded = service.Ingest(MakeSnapshot("s", -1, 7102), reference, false);
+    bounded_ms = std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - start)
+                     .count();
+    bounded_done = true;
+  });
+  // A stalled bounded ingest would wait until the gate opens; give it a
+  // generous budget, then open the gate either way so the test ends.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!bounded_done && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool answered_while_full = bounded_done;
+  open_gate();
+  http.join();
+  spool.join();
+
+  EXPECT_TRUE(answered_while_full)
+      << "bounded ingest stalled behind the blocking one";
+  EXPECT_EQ(bounded.result, SubmitResult::kOverloaded);
+  EXPECT_EQ(bounded.sequence, -1);
+  EXPECT_LT(bounded_ms, 10.0 * options.ingest_wait_ms);
+  EXPECT_EQ(metrics.GetCounter("snapshots_shed").Value(), 1);
+  // The blocking ingest got in once room appeared, at the next dense
+  // sequence.
+  EXPECT_EQ(blocked.result, SubmitResult::kAccepted);
+  EXPECT_EQ(blocked.sequence, 1);
+  service.Flush();
+  EXPECT_EQ(service.processed(), 2);
+}
+
 TEST(MonitorServiceTest, StatusAndQueryDeviationTrackLatestSnapshot) {
   MonitorService service(SmallServiceOptions(), /*metrics=*/nullptr);
   service.AddStream("s", QuestDb(1000));

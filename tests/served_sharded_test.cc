@@ -71,7 +71,7 @@ class ServedShardedTest : public ::testing::Test {
                        ->name());
     fs::remove_all(root_);
     // The daemon must create the missing --shard-dir itself (same
-    // contract as focus_monitord's spool directory).
+    // contract as the --spool directory).
     fs::create_directories(root_);
     reference_path_ = (root_ / "reference.txns").string();
     port_file_ = (root_ / "port.txt").string();

@@ -11,7 +11,8 @@
 //                        [--noise p] [--seed S]
 //   focus_cli mine       --db D.txns --out M.model [--minsup s] [--maxk k]
 //   focus_cli train      --data D.data --out T.tree [--max-depth d]
-//                        [--min-leaf n]
+//                        [--min-leaf n] [--criterion gini|entropy]
+//                        [--builder recursive|presorted]
 //   focus_cli deviate    --db1 A.txns --db2 B.txns [--minsup s]
 //                        [--f fa|fs] [--g sum|max] [--replicates R]
 //   focus_cli deviate-dt --data1 A.data --data2 B.data [--max-depth d]
@@ -33,7 +34,7 @@
 namespace focus::cli {
 namespace {
 
-// Shared hardened parser (also used by focus_monitord): unknown flags and
+// Shared hardened parser (also used by focus_served): unknown flags and
 // flags missing their value are hard errors, not silently ignored.
 using common::Flags;
 
@@ -127,6 +128,16 @@ int Mine(const Flags& flags) {
 }
 
 int Train(const Flags& flags) {
+  const std::string criterion = flags.Get("criterion", "gini");
+  if (criterion != "gini" && criterion != "entropy") {
+    std::fprintf(stderr, "--criterion must be gini or entropy\n");
+    return 1;
+  }
+  const std::string builder = flags.Get("builder", "recursive");
+  if (builder != "recursive" && builder != "presorted") {
+    std::fprintf(stderr, "--builder must be recursive or presorted\n");
+    return 1;
+  }
   const auto dataset = io::LoadDatasetFromFile(flags.Get("data", ""));
   if (!dataset.has_value()) {
     std::fprintf(stderr, "cannot read --data\n");
@@ -135,10 +146,8 @@ int Train(const Flags& flags) {
   dt::CartOptions options;
   options.max_depth = static_cast<int>(flags.GetInt("max-depth", 8));
   options.min_leaf_size = flags.GetInt("min-leaf", 50);
-  if (flags.Get("criterion", "gini") == "entropy") {
-    options.criterion = dt::SplitCriterion::kEntropy;
-  }
-  const dt::DecisionTree tree = flags.Get("builder", "recursive") == "presorted"
+  if (criterion == "entropy") options.criterion = dt::SplitCriterion::kEntropy;
+  const dt::DecisionTree tree = builder == "presorted"
                                     ? dt::BuildCartPresorted(*dataset, options)
                                     : dt::BuildCart(*dataset, options);
   const std::string out = flags.Get("out", "");
